@@ -244,30 +244,6 @@ func (tr *Tracker) Aggregate() float64 {
 	return m
 }
 
-// Reserve pre-sizes the tracker for roughly n concurrent neighbors: the
-// neighbor map, the pairwise scratch buffers and the sample free list are
-// grown up front so dense scenarios (10k-node tiled runs) do not pay
-// incremental map growth inside the beacon hot path. A zero or negative n is
-// a no-op, as is calling Reserve on a tracker that already holds state.
-func (tr *Tracker) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	if len(tr.neighbors) == 0 {
-		grown := make(map[int32]*sample, n)
-		tr.neighbors = grown
-	}
-	if cap(tr.scratch) < n {
-		tr.scratch = make([]float64, 0, n)
-	}
-	if cap(tr.idScratch) < n {
-		tr.idScratch = make([]int32, 0, n)
-	}
-	for len(tr.free) < n {
-		tr.free = append(tr.free, &sample{})
-	}
-}
-
 // Reset clears all neighbor history and smoother state.
 func (tr *Tracker) Reset() {
 	for _, s := range tr.neighbors {

@@ -29,12 +29,6 @@ type Runner struct {
 	BaseSeed uint64
 	// Workers bounds concurrent simulations (default GOMAXPROCS).
 	Workers int
-	// Tiles, when > 1, runs every cell on the tiled-parallel engine
-	// scheduler with that many arena tiles (see simnet.Config.Tiles; the
-	// tiled schedule is bit-identical to the sequential one, so this is a
-	// pure performance knob). 0 or 1 keeps the sequential scheduler. A
-	// cell whose config already sets Tiles keeps its own value.
-	Tiles int
 	// Progress, when set, is called after each completed cell.
 	Progress func(done, total int)
 	// Mutate, when set, adjusts each materialized config before the run
@@ -164,9 +158,6 @@ func (r Runner) RunCells(ctx context.Context, cells []Cell) ([]CellStats, error)
 			}
 			if cfg.Obs == nil {
 				cfg.Obs = r.Obs
-			}
-			if cfg.Tiles == 0 {
-				cfg.Tiles = r.Tiles
 			}
 			jobs = append(jobs, cellJob{cell: ci, rep: s, seed: p.Seed, cfg: cfg})
 		}

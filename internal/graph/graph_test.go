@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +211,99 @@ func TestBFSEdgeConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceAdjacency is the exhaustive O(n^2) unit-disk construction the
+// cell-bucketed Rebuild must reproduce list for list.
+func referenceAdjacency(pos []geom.Point, radius float64) [][]int32 {
+	adj := make([][]int32, len(pos))
+	if radius < 0 {
+		return adj
+	}
+	rSq := radius * radius
+	for i := range pos {
+		for j := i + 1; j < len(pos); j++ {
+			if pos[i].DistSq(pos[j]) <= rSq {
+				adj[i] = append(adj[i], int32(j))
+				adj[j] = append(adj[j], int32(i))
+			}
+		}
+	}
+	return adj
+}
+
+// TestRebuildMatchesReference compares the cell-bucketed Rebuild with the
+// O(n^2) reference over random point sets that mix duplicates, points far
+// outside the nominal 0-500 area and non-finite coordinates, at radii from
+// zero through the whole spread to +Inf. One Adjacency is reused throughout,
+// so stale scratch from a previous shape would also show up.
+func TestRebuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 23))
+	g := &Adjacency{}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.IntN(120)
+		pos := make([]geom.Point, n)
+		for i := range pos {
+			switch k := rng.IntN(20); {
+			case k == 0 && i > 0: // duplicate an earlier point
+				pos[i] = pos[rng.IntN(i)]
+			case k == 1: // far outside the area
+				pos[i] = geom.Point{X: -2000 + 6000*rng.Float64(), Y: 3000 * rng.Float64()}
+			case k == 2 && trial%4 == 0: // non-finite
+				pos[i] = geom.Point{X: math.Inf(1 - 2*rng.IntN(2)), Y: math.NaN()}
+				if rng.IntN(2) == 0 {
+					pos[i] = geom.Point{X: 10, Y: math.Inf(-1)}
+				}
+			default:
+				pos[i] = geom.Point{X: 500 * rng.Float64(), Y: 500 * rng.Float64()}
+			}
+		}
+		for _, radius := range []float64{0, 0.5, 37, 250, 5000, 1e9, math.Inf(1), -1, math.NaN()} {
+			g.Rebuild(pos, radius)
+			want := referenceAdjacency(pos, radius)
+			if g.N() != n {
+				t.Fatalf("trial %d radius %g: N = %d, want %d", trial, radius, g.N(), n)
+			}
+			for i := range want {
+				if !slices.Equal(g.Neighbors(int32(i)), want[i]) {
+					t.Fatalf("trial %d radius %g node %d (%v): got %v, want %v",
+						trial, radius, i, pos[i], g.Neighbors(int32(i)), want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRebuildWarmAllocFree pins the simulator sampler's contract: once the
+// graph has been sized, Rebuild plus ComponentStats over moving points of
+// the same count allocate nothing.
+func TestRebuildWarmAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	const n = 400
+	// A few snapshots with different spreads, cycled like a sampler
+	// revisiting a moving network.
+	snaps := make([][]geom.Point, 4)
+	for s := range snaps {
+		side := 1000 + 500*float64(s)
+		snaps[s] = make([]geom.Point, n)
+		for i := range snaps[s] {
+			snaps[s][i] = geom.Point{X: side * rng.Float64(), Y: side * rng.Float64()}
+		}
+	}
+	g := &Adjacency{}
+	for _, pos := range snaps {
+		g.Rebuild(pos, 150)
+		g.ComponentStats()
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		g.Rebuild(snaps[k%len(snaps)], 150)
+		g.ComponentStats()
+		k++
+	})
+	if allocs > 0 {
+		t.Errorf("warm Rebuild+ComponentStats allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -7,7 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"mobic/internal/cluster"
 	"mobic/internal/experiment"
+	"mobic/internal/geom"
+	"mobic/internal/mobility"
 	"mobic/internal/simnet"
 	"mobic/internal/trace"
 )
@@ -129,31 +132,51 @@ func TestDigestInvariantAcrossWorkerCounts(t *testing.T) {
 // query and through an exhaustive O(N) scan must produce byte-identical
 // digests. Any grid bug that loses, duplicates, or reorders a delivery
 // across timestamps shows up here.
+//
+// Two extra inputs stress the grid query's motion slack, the margin that
+// covers receivers moving since their last index refresh: the paper's §5
+// highway, whose wrap-around leg sweeps a car across the whole segment in
+// seconds, and an adaptive broadcast period whose Max is four times BI.
 func TestDigestInvariantGridVsBruteForce(t *testing.T) {
+	cases := map[string]simnet.Config{}
 	for _, w := range Workloads()[:2] { // fig3-tx100 and table1-tx250
 		for _, alg := range Algorithms() {
-			w, alg := w, alg
-			t.Run(w.Name+"/"+alg.Name, func(t *testing.T) {
-				t.Parallel()
-				cfg, err := w.Config(alg, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gridDigest, _, err := DigestRun(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.ForceBruteForce = true
-				bruteDigest, _, err := DigestRun(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gridDigest != bruteDigest {
-					t.Errorf("spatial grid diverged from brute force:\n  grid:  %+v\n  brute: %+v",
-						gridDigest, bruteDigest)
-				}
-			})
+			cfg, err := w.Config(alg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases[w.Name+"/"+alg.Name] = cfg
 		}
+	}
+	highway := &mobility.Highway{Length: 3000, Lanes: 4, MinSpeed: 20, MaxSpeed: 33, Bidirectional: true}
+	cases["highway-tx250/mobic"] = simnet.Config{
+		N: 40, Area: highway.Area(), Duration: PinnedDuration, Seed: 1,
+		Algorithm: cluster.MOBIC, Mobility: highway, TxRange: 250,
+	}
+	square := geom.Square(670)
+	cases["adaptive-bi-max8-tx100/mobic"] = simnet.Config{
+		N: 50, Area: square, Duration: PinnedDuration, Seed: 1,
+		Algorithm: cluster.MOBIC, Mobility: &mobility.RandomWaypoint{Area: square, MaxSpeed: 30},
+		TxRange:  100,
+		Adaptive: &simnet.AdaptiveBI{Min: 1, Max: 8, MRef: 4, Hysteresis: 0.25},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			gridDigest, _, err := DigestRun(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.ForceBruteForce = true
+			bruteDigest, _, err := DigestRun(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gridDigest != bruteDigest {
+				t.Errorf("spatial grid diverged from brute force:\n  grid:  %+v\n  brute: %+v",
+					gridDigest, bruteDigest)
+			}
+		})
 	}
 }
 

@@ -79,14 +79,7 @@ func TestGoldenDigests(t *testing.T) {
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("reading golden file (refresh with -update): %v", err)
-	}
-	var want map[string]Digest
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parsing %s: %v", goldenPath, err)
-	}
+	want := loadGoldenDigests(t)
 	if len(want) != len(got) {
 		t.Errorf("golden file has %d entries, harness pins %d (refresh with -update)", len(want), len(got))
 	}
@@ -101,4 +94,18 @@ func TestGoldenDigests(t *testing.T) {
 				key, w.SHA256, w.Events, g.SHA256, g.Events)
 		}
 	}
+}
+
+// loadGoldenDigests reads the committed golden digest file.
+func loadGoldenDigests(t *testing.T) map[string]Digest {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("reading golden file (refresh with -update): %v", err)
+	}
+	var want map[string]Digest
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parsing %s: %v", goldenPath, err)
+	}
+	return want
 }

@@ -20,6 +20,7 @@ package mobility
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"mobic/internal/geom"
@@ -132,21 +133,22 @@ func (tr *Trajectory) End() float64 { return tr.times[len(tr.times)-1] }
 // Waypoints returns the number of waypoints.
 func (tr *Trajectory) Waypoints() int { return len(tr.times) }
 
-// MaxSpeed returns the highest leg speed in m/s, a sanity check used by
-// tests to verify models respect their speed caps.
+// MaxSpeed returns the highest leg speed in m/s. The simulator sizes its
+// neighbor-query slack from it, and tests use it to verify models respect
+// their speed caps. Legs are compared by squared speed, which skips a
+// Hypot per leg.
 func (tr *Trajectory) MaxSpeed() float64 {
-	var maxV float64
+	var maxV2 float64
 	for i := 1; i < len(tr.times); i++ {
 		dt := tr.times[i] - tr.times[i-1]
 		if dt <= 0 {
 			continue
 		}
-		v := tr.points[i].Dist(tr.points[i-1]) / dt
-		if v > maxV {
-			maxV = v
+		if v2 := tr.points[i].DistSq(tr.points[i-1]) / (dt * dt); v2 > maxV2 {
+			maxV2 = v2
 		}
 	}
-	return maxV
+	return math.Sqrt(maxV2)
 }
 
 // StaticTrajectory returns a trajectory pinned at p forever.

@@ -80,23 +80,16 @@ const (
 	// DispatchPeersHealthy gauges the number of peers passing /readyz.
 	DispatchPeersHealthy
 
-	// TileWindows counts synchronization windows executed by the tiled
-	// scheduler.
-	TileWindows
-	// TilePlannedTicks counts beacon ticks served from a tile worker's
-	// precomputed plan.
+	// TilePlannedTicks does nothing: the engine never writes it, so it
+	// always reads 0. It counted beacon ticks served from the removed
+	// tiled-parallel planner and is kept so existing readers still compile.
 	TilePlannedTicks
-	// TileFallbackTicks counts beacon ticks that missed their plan (node
-	// crashed/recovered mid-window) and ran inline instead.
+	// TileFallbackTicks does nothing: the engine never writes it, so it
+	// always reads 0. It counted ticks that missed a tiled plan.
 	TileFallbackTicks
-	// TileHaloExchanges counts boundary-halo state exchanges: per window,
-	// one per adjacent tile pair whose halos overlap.
-	TileHaloExchanges
-	// TileBarrierWaitNanos accumulates wall-clock nanoseconds the window
-	// coordinator spent waiting on the tile-worker barrier.
+	// TileBarrierWaitNanos does nothing: the engine never writes it, so it
+	// always reads 0. It timed the tiled planner's worker barrier.
 	TileBarrierWaitNanos
-	// TileCount gauges the number of tiles in the most recent tiled run.
-	TileCount
 
 	// CacheCorrupt counts disk-cache entries that failed their CRC or
 	// framing check and were quarantined.
@@ -188,12 +181,9 @@ var defs = [NumMetrics]Def{
 	DispatchCheckpointsShipped: {"mobic_dispatch_checkpoints_shipped_total", "Checkpoint records pulled from workers for failover.", Counter},
 	DispatchPeersHealthy:       {"mobic_dispatch_peers_healthy", "Worker peers currently passing their readiness probe.", Gauge},
 
-	TileWindows:          {"mobic_tile_windows_total", "Synchronization windows executed by the tiled scheduler.", Counter},
-	TilePlannedTicks:     {"mobic_tile_planned_ticks_total", "Beacon ticks served from a tile worker's precomputed plan.", Counter},
-	TileFallbackTicks:    {"mobic_tile_fallback_ticks_total", "Beacon ticks that missed their plan and ran inline.", Counter},
-	TileHaloExchanges:    {"mobic_tile_halo_exchanges_total", "Boundary-halo state exchanges between adjacent tiles.", Counter},
-	TileBarrierWaitNanos: {"mobic_tile_barrier_wait_nanos_total", "Wall-clock nanoseconds spent waiting on the tile-worker barrier.", Counter},
-	TileCount:            {"mobic_tile_count", "Tiles in the most recent tiled simulation run.", Gauge},
+	TilePlannedTicks:     {"mobic_tile_planned_ticks_total", "Unused; always 0 (the tiled planner was removed).", Counter},
+	TileFallbackTicks:    {"mobic_tile_fallback_ticks_total", "Unused; always 0 (the tiled planner was removed).", Counter},
+	TileBarrierWaitNanos: {"mobic_tile_barrier_wait_nanos_total", "Unused; always 0 (the tiled planner was removed).", Counter},
 
 	CacheCorrupt: {"mobic_cache_corrupt_total", "Disk-cache entries that failed CRC/framing and were quarantined.", Counter},
 

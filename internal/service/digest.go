@@ -67,10 +67,8 @@ type canonicalSweep struct {
 //     scenario's own transmission range;
 //   - BaseSeed 0 becomes the runner default 1.
 //
-// Tiles is hashed as-is (0 = sequential, 1 is semantically the same but
-// kept distinct): the tiled scheduler is proven digest-identical to the
-// sequential one by the harness equivalence suite, but the cache stays
-// conservative and never relies on that proof for key identity.
+// Tiles is hashed as-is even though the engine ignores it: dropping it from
+// the canonical form would move every cache key that ever carried it.
 //
 // Two fields are deliberately treated asymmetrically: Seeds 0 is kept as
 // the "service default" sentinel (its resolution lives in daemon config, so

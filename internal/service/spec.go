@@ -30,7 +30,7 @@ const (
 	MaxAlgorithms = 8
 	// MaxSweepPoints bounds the sweep axis length.
 	MaxSweepPoints = 64
-	// MaxTiles bounds the tiled-scheduler tile count per job.
+	// MaxTiles bounds the ignored Tiles field (see JobSpec.Tiles).
 	MaxTiles = 64
 )
 
@@ -55,13 +55,11 @@ type JobSpec struct {
 	// IncludeRaw keeps the per-seed metrics snapshots in the returned
 	// cells (they are stripped by default to keep responses small).
 	IncludeRaw bool `json:"include_raw,omitempty"`
-	// Tiles, when > 1, runs every cell on the tiled-parallel engine
-	// scheduler with that many arena tiles. The tiled schedule is proven
-	// bit-identical to the sequential one (see the harness equivalence
-	// suite), so this only changes wall-clock — but it is still folded
-	// into the spec digest, conservatively: the cache never presumes an
-	// equivalence, it only serves results for byte-identical canonical
-	// specs. 0 (or 1) keeps the sequential scheduler.
+	// Tiles does nothing beyond validation: it once selected the
+	// tiled-parallel engine, which produced bit-identical results and was
+	// removed because it was not measurably faster. It is still accepted in
+	// [0, MaxTiles] and still folded into the spec digest exactly as before,
+	// so existing submissions and cache keys stay valid.
 	Tiles int `json:"tiles,omitempty"`
 }
 
@@ -232,9 +230,6 @@ func (s JobSpec) run(ctx context.Context, base experiment.Runner, progress func(
 	}
 	if s.BaseSeed > 0 {
 		r.BaseSeed = s.BaseSeed
-	}
-	if s.Tiles > 0 {
-		r.Tiles = s.Tiles
 	}
 	if s.Duration > 0 {
 		prev := r.Mutate

@@ -325,25 +325,6 @@ func (s *Scheduler) Step() bool {
 	return false
 }
 
-// NextTime returns the timestamp of the earliest live pending event. ok is
-// false when the queue holds nothing but canceled events (which are reaped as
-// a side effect) or is empty. The tiled scheduler uses this to size and skip
-// synchronization windows without firing anything.
-func (s *Scheduler) NextTime() (t float64, ok bool) {
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if !next.canceled {
-			return next.time, true
-		}
-		popped := heap.Pop(&s.queue)
-		if ev, isEvent := popped.(*Event); isEvent {
-			s.canceledQueued--
-			s.recycle(ev)
-		}
-	}
-	return 0, false
-}
-
 // RunUntil fires events in order until the clock would pass horizon or the
 // queue drains. Events scheduled exactly at the horizon still fire. The clock
 // is left at min(horizon, time of last fired event) — i.e., it never exceeds

@@ -219,21 +219,12 @@ type Config struct {
 	// (shadowing) force this on automatically; tests use it to verify the
 	// index takes no shortcuts.
 	ForceBruteForce bool
-	// Tiles, when > 1, runs the simulation on the tiled-parallel scheduler:
-	// the arena is partitioned into Tiles grid tiles and each
-	// synchronization window's beacon ticks are planned concurrently, one
-	// goroutine pool task per tile, before the global event queue replays
-	// them in the exact sequential order. Results are bit-identical to
-	// Tiles <= 1 by construction (see DESIGN.md S29). Ignored — the run
-	// falls back to the sequential scheduler — when the propagation model
-	// is stochastic (shadowing) or ForceBruteForce is set, because those
-	// paths have no bounded candidate radius to plan against.
+	// Tiles does nothing: the field is ignored and every run uses the
+	// sequential scheduler. It once selected a tiled-parallel planner whose
+	// results were bit-identical to the sequential run but which was not
+	// measurably faster (DESIGN.md §10), and it is kept only so existing
+	// callers still compile.
 	Tiles int
-	// TileOffsetCells rotates the tile-to-cell assignment by this many grid
-	// cells in each axis. Tile placement is pure work partitioning, so any
-	// offset produces bit-identical results — the metamorphic property the
-	// harness's tiling oracle checks. Must be >= 0.
-	TileOffsetCells int
 }
 
 // Validation errors.
@@ -308,10 +299,6 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("%w: warmup %g outside [0, duration)", ErrBadConfig, cfg.Warmup)
 	case !cfg.Area.Valid():
 		return fmt.Errorf("%w: invalid area %v", ErrBadConfig, cfg.Area)
-	case cfg.Tiles < 0:
-		return fmt.Errorf("%w: tiles = %d", ErrBadConfig, cfg.Tiles)
-	case cfg.TileOffsetCells < 0:
-		return fmt.Errorf("%w: tile offset = %d cells", ErrBadConfig, cfg.TileOffsetCells)
 	}
 	if cfg.CustomWeights != nil && len(cfg.CustomWeights) != cfg.N {
 		return fmt.Errorf("%w: %d custom weights for %d nodes", ErrBadConfig, len(cfg.CustomWeights), cfg.N)

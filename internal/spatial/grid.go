@@ -12,24 +12,16 @@ import (
 	"mobic/internal/geom"
 )
 
-// maxDenseID bounds the node ids stored in the dense (slice-backed) tables.
-// Simulator node ids are 0..N-1, so everything real lands here; ids beyond
-// the bound (or negative) fall back to map-backed sparse storage so the
-// index stays correct for arbitrary callers without ever allocating a
-// multi-gigabyte slice for one stray id.
-const maxDenseID = 1 << 21
-
-// noCell marks an id as absent from the dense tables.
+// noCell marks an id as absent from the index.
 const noCell = int32(-1)
 
 // Grid is a uniform bucket grid over a rectangular area. Cell size should be
 // on the order of the query radius; QueryRange then touches at most the 3x3
 // (or slightly larger) block of cells around the query point.
 //
-// Positions and cell assignments for the common case — ids 0..N-1, which is
-// what every simulator caller uses — live in dense slices indexed by id, so
-// the per-candidate distance check in QueryRange is two array loads instead
-// of a map lookup. Out-of-range ids are handled by a sparse map fallback.
+// Node ids are 0..n-1, fixed when the grid is built; positions and cell
+// assignments live in dense slices indexed by id, so the per-candidate
+// distance check in QueryRange is two array loads.
 //
 // Grid tolerates points outside its nominal area by clamping them to the
 // boundary cells, so mobility models that momentarily overshoot an edge do
@@ -40,24 +32,24 @@ type Grid struct {
 	cols     int
 	rows     int
 	cells    [][]int32 // cell -> node ids
-	// Dense storage for ids in [0, len(pos)): pos[id] is the position,
-	// cellOf[id] the cell index or noCell when absent.
+	// pos[id] is the indexed position, cellOf[id] the cell index or noCell
+	// when id has not been inserted yet.
 	pos    []geom.Point
 	cellOf []int32
-	count  int
-	// Sparse fallback for ids outside the dense range; nil until needed.
-	sparsePos  map[int32]geom.Point
-	sparseCell map[int32]int32
 }
 
-// NewGrid builds an empty grid over area with the given cell size. It returns
-// an error for an invalid area or non-positive cell size.
-func NewGrid(area geom.Rect, cellSize float64) (*Grid, error) {
+// NewGrid builds an empty grid over area with the given cell size, for node
+// ids 0..n-1. It returns an error for an invalid area, a non-positive cell
+// size or a negative n.
+func NewGrid(area geom.Rect, cellSize float64, n int) (*Grid, error) {
 	if !area.Valid() {
 		return nil, fmt.Errorf("spatial: invalid area %v", area)
 	}
 	if cellSize <= 0 || math.IsNaN(cellSize) {
 		return nil, fmt.Errorf("spatial: invalid cell size %g", cellSize)
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("spatial: invalid node count %d", n)
 	}
 	cols := int(math.Ceil(area.Width() / cellSize))
 	rows := int(math.Ceil(area.Height() / cellSize))
@@ -67,51 +59,20 @@ func NewGrid(area geom.Rect, cellSize float64) (*Grid, error) {
 	if rows < 1 {
 		rows = 1
 	}
+	cellOf := make([]int32, n)
+	for i := range cellOf {
+		cellOf[i] = noCell
+	}
 	return &Grid{
 		area:     area,
 		cellSize: cellSize,
 		cols:     cols,
 		rows:     rows,
 		cells:    make([][]int32, cols*rows),
+		pos:      make([]geom.Point, n),
+		cellOf:   cellOf,
 	}, nil
 }
-
-// Reserve pre-sizes the dense tables for ids 0..n-1, so the first Update of
-// each node does not have to grow them incrementally.
-func (g *Grid) Reserve(n int) {
-	if n <= len(g.pos) || n > maxDenseID {
-		return
-	}
-	g.growDense(int32(n - 1))
-}
-
-// growDense extends the dense tables to cover id, marking new slots absent.
-func (g *Grid) growDense(id int32) {
-	old := len(g.pos)
-	n := int(id) + 1
-	if cap(g.pos) < n {
-		pos := make([]geom.Point, n)
-		copy(pos, g.pos)
-		g.pos = pos
-		cellOf := make([]int32, n)
-		copy(cellOf, g.cellOf)
-		g.cellOf = cellOf
-	} else {
-		g.pos = g.pos[:n]
-		g.cellOf = g.cellOf[:n]
-	}
-	for i := old; i < n; i++ {
-		g.cellOf[i] = noCell
-	}
-}
-
-// dense reports whether id belongs to the dense tables.
-func (g *Grid) dense(id int32) bool {
-	return id >= 0 && id < maxDenseID
-}
-
-// Len returns the number of indexed nodes.
-func (g *Grid) Len() int { return g.count }
 
 // CellSize returns the configured cell size.
 func (g *Grid) CellSize() float64 { return g.cellSize }
@@ -129,71 +90,20 @@ func (g *Grid) cellIndex(p geom.Point) int32 {
 	return int32(row*g.cols + col)
 }
 
-// Update inserts node id at p, or moves it there if already present.
+// Update inserts node id at p, or moves it there if already present. id
+// must be in [0, n) for the n the grid was built with.
 func (g *Grid) Update(id int32, p geom.Point) {
 	newCell := g.cellIndex(p)
-	if !g.dense(id) {
-		g.updateSparse(id, p, newCell)
-		return
-	}
-	if int(id) >= len(g.pos) {
-		g.growDense(id)
-	}
 	old := g.cellOf[id]
+	g.pos[id] = p
 	if old == newCell {
-		g.pos[id] = p
 		return
 	}
 	if old != noCell {
 		g.removeFromCell(id, old)
-	} else {
-		g.count++
 	}
 	g.cells[newCell] = append(g.cells[newCell], id)
 	g.cellOf[id] = newCell
-	g.pos[id] = p
-}
-
-// updateSparse is the map-backed slow path for out-of-range ids.
-func (g *Grid) updateSparse(id int32, p geom.Point, newCell int32) {
-	if g.sparsePos == nil {
-		g.sparsePos = make(map[int32]geom.Point)
-		g.sparseCell = make(map[int32]int32)
-	}
-	if old, ok := g.sparseCell[id]; ok {
-		if old == newCell {
-			g.sparsePos[id] = p
-			return
-		}
-		g.removeFromCell(id, old)
-	} else {
-		g.count++
-	}
-	g.cells[newCell] = append(g.cells[newCell], id)
-	g.sparseCell[id] = newCell
-	g.sparsePos[id] = p
-}
-
-// Remove deletes node id from the index. Removing an absent id is a no-op.
-func (g *Grid) Remove(id int32) {
-	if g.dense(id) {
-		if int(id) >= len(g.pos) || g.cellOf[id] == noCell {
-			return
-		}
-		g.removeFromCell(id, g.cellOf[id])
-		g.cellOf[id] = noCell
-		g.pos[id] = geom.Point{}
-		g.count--
-		return
-	}
-	cell, ok := g.sparseCell[id]
-	if !ok {
-		return
-	}
-	g.removeFromCell(id, cell)
-	delete(g.sparseCell, id)
-	delete(g.sparsePos, id)
-	g.count--
 }
 
 func (g *Grid) removeFromCell(id int32, cell int32) {
@@ -204,30 +114,6 @@ func (g *Grid) removeFromCell(id int32, cell int32) {
 			g.cells[cell] = bucket[:len(bucket)-1]
 			return
 		}
-	}
-}
-
-// Position returns the indexed position of id.
-func (g *Grid) Position(id int32) (geom.Point, bool) {
-	if g.dense(id) {
-		if int(id) >= len(g.pos) || g.cellOf[id] == noCell {
-			return geom.Point{}, false
-		}
-		return g.pos[id], true
-	}
-	p, ok := g.sparsePos[id]
-	return p, ok
-}
-
-// ForEach calls f for every indexed node. Iteration order is unspecified.
-func (g *Grid) ForEach(f func(id int32, p geom.Point)) {
-	for id, cell := range g.cellOf {
-		if cell != noCell {
-			f(int32(id), g.pos[id])
-		}
-	}
-	for id, p := range g.sparsePos {
-		f(id, p)
 	}
 }
 
@@ -258,16 +144,7 @@ func (g *Grid) QueryRange(center geom.Point, radius float64, exclude int32, dst 
 		base := row * g.cols
 		for col := minCol; col <= maxCol; col++ {
 			for _, id := range g.cells[base+col] {
-				if id == exclude {
-					continue
-				}
-				var p geom.Point
-				if uint(id) < uint(len(pos)) {
-					p = pos[id]
-				} else {
-					p = g.sparsePos[id]
-				}
-				if p.DistSq(center) <= rSq {
+				if id != exclude && pos[id].DistSq(center) <= rSq {
 					dst = append(dst, id)
 				}
 			}

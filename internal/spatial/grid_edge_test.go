@@ -8,19 +8,15 @@ import (
 	"mobic/internal/geom"
 )
 
-// bruteForce is the O(N) reference oracle: every indexed node within radius
+// bruteForce is the O(N) reference oracle: every node pts[id] within radius
 // of center, excluding `exclude`, in ascending id order.
-func bruteForce(g *Grid, center geom.Point, radius float64, exclude int32) []int32 {
+func bruteForce(pts []geom.Point, center geom.Point, radius float64, exclude int32) []int32 {
 	var out []int32
-	g.ForEach(func(id int32, p geom.Point) {
-		if id == exclude {
-			return
+	for id, p := range pts {
+		if int32(id) != exclude && p.DistSq(center) <= radius*radius {
+			out = append(out, int32(id))
 		}
-		if p.DistSq(center) <= radius*radius {
-			out = append(out, id)
-		}
-	})
-	sortIDs(out)
+	}
 	return out
 }
 
@@ -94,13 +90,13 @@ func TestQueryRangeCellBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := mustGrid(t, geom.Square(100), 10)
+			g := mustGrid(t, geom.Square(100), 10, len(tc.nodes))
 			for i, p := range tc.nodes {
 				g.Update(int32(i), p)
 			}
 			got := g.QueryRange(tc.center, tc.radius, -1, nil)
 			sortIDs(got)
-			want := bruteForce(g, tc.center, tc.radius, -1)
+			want := bruteForce(tc.nodes, tc.center, tc.radius, -1)
 			if !equalIDs(got, want) {
 				t.Errorf("QueryRange = %v, brute force = %v", got, want)
 			}
@@ -113,8 +109,9 @@ func TestQueryRangeCellBoundaries(t *testing.T) {
 // outside the area, where the naive cell-window arithmetic goes negative
 // and must clamp instead of slicing out of bounds.
 func TestQueryRangeRadiusExceedsArea(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 10)
-	for i := 0; i < 25; i++ {
+	const n = 25
+	g := mustGrid(t, geom.Square(100), 10, n)
+	for i := 0; i < n; i++ {
 		g.Update(int32(i), geom.Point{X: float64(i%5) * 25, Y: float64(i/5) * 25})
 	}
 	centers := []geom.Point{
@@ -127,14 +124,14 @@ func TestQueryRangeRadiusExceedsArea(t *testing.T) {
 	for _, c := range centers {
 		radius := 1000.0 // covers the whole area from any of these centers
 		got := g.QueryRange(c, radius, -1, nil)
-		if len(got) != g.Len() {
-			t.Errorf("center %v: %d of %d nodes returned", c, len(got), g.Len())
+		if len(got) != n {
+			t.Errorf("center %v: %d of %d nodes returned", c, len(got), n)
 		}
 	}
 	// Infinite radius must behave the same, not overflow the cell window.
 	got := g.QueryRange(geom.Point{X: 50, Y: 50}, math.Inf(1), -1, nil)
-	if len(got) != g.Len() {
-		t.Errorf("infinite radius: %d of %d nodes returned", len(got), g.Len())
+	if len(got) != n {
+		t.Errorf("infinite radius: %d of %d nodes returned", len(got), n)
 	}
 }
 
@@ -142,7 +139,7 @@ func TestQueryRangeRadiusExceedsArea(t *testing.T) {
 // never touches the prefix, and tolerates the caller recycling the returned
 // slice — the allocation-free pattern the channel hot path relies on.
 func TestQueryRangeDstReuse(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 10)
+	g := mustGrid(t, geom.Square(100), 10, 4)
 	g.Update(1, geom.Point{X: 10, Y: 10})
 	g.Update(2, geom.Point{X: 12, Y: 10})
 	g.Update(3, geom.Point{X: 90, Y: 90})
@@ -196,13 +193,15 @@ func TestQueryRangeDstReuse(t *testing.T) {
 func TestQueryRangeDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	for trial := 0; trial < 25; trial++ {
-		g := mustGrid(t, geom.Square(200), 23) // cell size not dividing the side
 		n := 10 + rng.IntN(80)
-		for i := 0; i < n; i++ {
+		g := mustGrid(t, geom.Square(200), 23, n) // cell size not dividing the side
+		pts := make([]geom.Point, n)
+		for i := range pts {
 			p := geom.Point{X: rng.Float64()*200 - 0, Y: rng.Float64() * 200}
 			if rng.IntN(10) == 0 { // 10% outside the area
 				p.X += 250
 			}
+			pts[i] = p
 			g.Update(int32(i), p)
 		}
 		for _, radius := range []float64{0, 5, 23, 46, 300} {
@@ -210,7 +209,7 @@ func TestQueryRangeDifferentialRandomized(t *testing.T) {
 			exclude := int32(rng.IntN(n))
 			got := g.QueryRange(center, radius, exclude, nil)
 			sortIDs(got)
-			want := bruteForce(g, center, radius, exclude)
+			want := bruteForce(pts, center, radius, exclude)
 			if !equalIDs(got, want) {
 				t.Fatalf("trial %d radius %g center %v: grid %v, brute force %v",
 					trial, radius, center, got, want)

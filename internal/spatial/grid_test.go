@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"mobic/internal/geom"
 )
 
-func mustGrid(t *testing.T, area geom.Rect, cell float64) *Grid {
+func mustGrid(t *testing.T, area geom.Rect, cell float64, n int) *Grid {
 	t.Helper()
-	g, err := NewGrid(area, cell)
+	g, err := NewGrid(area, cell, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,19 +20,22 @@ func mustGrid(t *testing.T, area geom.Rect, cell float64) *Grid {
 }
 
 func TestNewGridValidation(t *testing.T) {
-	if _, err := NewGrid(geom.Rect{}, 10); err == nil {
+	if _, err := NewGrid(geom.Rect{}, 10, 1); err == nil {
 		t.Error("invalid area should error")
 	}
-	if _, err := NewGrid(geom.Square(100), 0); err == nil {
+	if _, err := NewGrid(geom.Square(100), 0, 1); err == nil {
 		t.Error("zero cell size should error")
 	}
-	if _, err := NewGrid(geom.Square(100), -5); err == nil {
+	if _, err := NewGrid(geom.Square(100), -5, 1); err == nil {
 		t.Error("negative cell size should error")
+	}
+	if _, err := NewGrid(geom.Square(100), 10, -1); err == nil {
+		t.Error("negative node count should error")
 	}
 }
 
 func TestUpdateAndQuery(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 10)
+	g := mustGrid(t, geom.Square(100), 10, 4)
 	g.Update(1, geom.Point{X: 10, Y: 10})
 	g.Update(2, geom.Point{X: 15, Y: 10})
 	g.Update(3, geom.Point{X: 90, Y: 90})
@@ -44,7 +48,7 @@ func TestUpdateAndQuery(t *testing.T) {
 }
 
 func TestQueryExcludesSelf(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 10)
+	g := mustGrid(t, geom.Square(100), 10, 3)
 	g.Update(1, geom.Point{X: 50, Y: 50})
 	g.Update(2, geom.Point{X: 51, Y: 50})
 	got := g.QueryRange(geom.Point{X: 50, Y: 50}, 5, 1, nil)
@@ -54,7 +58,7 @@ func TestQueryExcludesSelf(t *testing.T) {
 }
 
 func TestBoundaryInclusive(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 25)
+	g := mustGrid(t, geom.Square(100), 25, 3)
 	g.Update(1, geom.Point{X: 0, Y: 0})
 	g.Update(2, geom.Point{X: 30, Y: 0})
 	got := g.QueryRange(geom.Point{X: 0, Y: 0}, 30, 1, nil)
@@ -64,7 +68,7 @@ func TestBoundaryInclusive(t *testing.T) {
 }
 
 func TestMoveBetweenCells(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 10)
+	g := mustGrid(t, geom.Square(100), 10, 2)
 	g.Update(1, geom.Point{X: 5, Y: 5})
 	g.Update(1, geom.Point{X: 95, Y: 95})
 	if got := g.QueryRange(geom.Point{X: 5, Y: 5}, 8, -1, nil); len(got) != 0 {
@@ -73,39 +77,25 @@ func TestMoveBetweenCells(t *testing.T) {
 	if got := g.QueryRange(geom.Point{X: 95, Y: 95}, 8, -1, nil); len(got) != 1 {
 		t.Errorf("new cell missing node: %v", got)
 	}
-	if g.Len() != 1 {
-		t.Errorf("Len = %d, want 1 after in-place move", g.Len())
+	if got := g.QueryRange(geom.Point{X: 50, Y: 50}, math.Inf(1), -1, nil); len(got) != 1 {
+		t.Errorf("moved node indexed %d times, want once", len(got))
 	}
 }
 
 func TestMoveWithinCell(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 50)
+	g := mustGrid(t, geom.Square(100), 50, 2)
 	g.Update(1, geom.Point{X: 10, Y: 10})
 	g.Update(1, geom.Point{X: 12, Y: 10})
-	p, ok := g.Position(1)
-	if !ok || p != (geom.Point{X: 12, Y: 10}) {
-		t.Errorf("Position = %v, %v", p, ok)
+	if got := g.QueryRange(geom.Point{X: 12, Y: 10}, 0, -1, nil); len(got) != 1 || got[0] != 1 {
+		t.Errorf("query at the new position = %v, want [1]", got)
 	}
-}
-
-func TestRemove(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 10)
-	g.Update(1, geom.Point{X: 50, Y: 50})
-	g.Remove(1)
-	if g.Len() != 0 {
-		t.Errorf("Len after remove = %d", g.Len())
-	}
-	if _, ok := g.Position(1); ok {
-		t.Error("Position should miss after remove")
-	}
-	g.Remove(1) // no-op
-	if got := g.QueryRange(geom.Point{X: 50, Y: 50}, 10, -1, nil); len(got) != 0 {
-		t.Errorf("removed node still queryable: %v", got)
+	if got := g.QueryRange(geom.Point{X: 10, Y: 10}, 1, -1, nil); len(got) != 0 {
+		t.Errorf("query at the old position = %v, want none", got)
 	}
 }
 
 func TestOutOfAreaPointsClampToEdgeCells(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 10)
+	g := mustGrid(t, geom.Square(100), 10, 2)
 	g.Update(1, geom.Point{X: -5, Y: 200}) // outside area
 	got := g.QueryRange(geom.Point{X: -5, Y: 200}, 1, -1, nil)
 	if len(got) != 1 {
@@ -114,7 +104,7 @@ func TestOutOfAreaPointsClampToEdgeCells(t *testing.T) {
 }
 
 func TestNegativeRadius(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 10)
+	g := mustGrid(t, geom.Square(100), 10, 2)
 	g.Update(1, geom.Point{X: 50, Y: 50})
 	if got := g.QueryRange(geom.Point{X: 50, Y: 50}, -1, -1, nil); len(got) != 0 {
 		t.Errorf("negative radius should return nothing, got %v", got)
@@ -122,7 +112,7 @@ func TestNegativeRadius(t *testing.T) {
 }
 
 func TestCellSizeAccessor(t *testing.T) {
-	g := mustGrid(t, geom.Square(100), 12.5)
+	g := mustGrid(t, geom.Square(100), 12.5, 0)
 	if g.CellSize() != 12.5 {
 		t.Errorf("CellSize = %v", g.CellSize())
 	}
@@ -133,11 +123,11 @@ func TestGridMatchesBruteForceProperty(t *testing.T) {
 	check := func(seed uint64, radiusSeed uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 99))
 		area := geom.Square(670)
-		g, err := NewGrid(area, 67)
+		const n = 60
+		g, err := NewGrid(area, 67, n)
 		if err != nil {
 			return false
 		}
-		const n = 60
 		pts := make([]geom.Point, n)
 		for i := range pts {
 			pts[i] = geom.Point{X: rng.Float64() * 670, Y: rng.Float64() * 670}
@@ -176,7 +166,7 @@ func sortIDs(ids []int32) {
 
 func BenchmarkQueryRange(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	g, err := NewGrid(geom.Square(670), 67)
+	g, err := NewGrid(geom.Square(670), 67, 500)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,7 +188,7 @@ func BenchmarkQueryRange(b *testing.B) {
 // at zero.
 func BenchmarkQueryRangeDense(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	g, err := NewGrid(geom.Square(670), 250)
+	g, err := NewGrid(geom.Square(670), 250, 200)
 	if err != nil {
 		b.Fatal(err)
 	}

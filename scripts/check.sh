@@ -35,23 +35,23 @@ awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
 echo "== chaos soak (10s of seeded faults + a mid-soak worker kill, under -race)"
 go test -race -run='^TestChaosSoak$' -count=1 -v ./internal/dispatch | grep -E '^(=== RUN|--- (PASS|FAIL)|    chaos_soak|PASS|FAIL|ok)'
 
-echo "== tiled-scheduler race soak (explicit pass; also runs inside -race above)"
-go test -race -run='^TestTiledSchedulerRaceSoak$|^TestTiledMatchesSequential$' -count=1 -v ./internal/simnet | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
-
 echo "== allocation regression (hot path must stay zero-alloc, bare and instrumented; skipped under -race above)"
 go test -run='^TestSteadyStateTickAllocs' -count=1 -v ./internal/simnet | grep -E 'PASS|FAIL|allocates'
 
 echo "== fuzz smoke (5s per target, seeded from checked-in corpora)"
-go test -run='^$' -fuzz='^FuzzSpec$' -fuzztime=5s ./internal/service
-go test -run='^$' -fuzz='^FuzzSpecDigest$' -fuzztime=5s ./internal/service
-go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=5s ./internal/service
-go test -run='^$' -fuzz='^FuzzEngineInvariants$' -fuzztime=5s ./internal/cluster
-go test -run='^$' -fuzz='^FuzzTilePartition$' -fuzztime=5s ./internal/spatial
-go test -run='^$' -fuzz='^FuzzChaosSchedule$' -fuzztime=5s ./internal/chaos
-go test -run='^$' -fuzz='^FuzzTenantConfig$' -fuzztime=5s ./internal/fair
-go test -run='^$' -fuzz='^FuzzBatchBody$' -fuzztime=5s ./internal/service
-go test -run='^$' -fuzz='^FuzzEnergyConfig$' -fuzztime=5s ./internal/energy
-go test -run='^$' -fuzz='^FuzzAdaptiveBI$' -fuzztime=5s ./internal/simnet
+# The target list comes from the test binaries themselves, so a new Fuzz*
+# function is smoke-fuzzed without editing this script. `go test -list`
+# prints a package's matching names before its "ok <package>" line.
+targets="$(go test -list '^Fuzz' ./... | awk '
+    /^Fuzz/ { names = names " " $1; next }
+    /^ok/   { n = split(names, a, " "); for (i = 1; i <= n; i++) print $2, a[i]; names = "" }')"
+if [ -z "$targets" ]; then
+    echo "go test -list found no fuzz targets" >&2
+    exit 1
+fi
+echo "$targets" | while read -r pkg target; do
+    go test -run='^$' -fuzz="^${target}\$" -fuzztime=5s "$pkg"
+done
 
 echo "== golden digest inventory (base grid + policy runs, 2 seeds each)"
 digests="$(grep -c '"sha256"' internal/harness/testdata/digests.json)"
