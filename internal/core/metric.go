@@ -17,15 +17,15 @@
 // is therefore a good clusterhead candidate; MOBIC (internal/cluster) elects
 // the node with the lowest M in each 2-hop neighborhood.
 //
-// The package also implements the paper's Section 5 extension of keeping
-// history: an optional EWMA smoother over successive aggregate values.
+// The paper's Section 5 extension of keeping history is available per link
+// (Link.Observe's pairAlpha); smoothing the aggregate itself is a
+// stats.EWMA the caller applies to successive M values.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"mobic/internal/stats"
 )
@@ -53,204 +53,69 @@ func AggregateLocalMobility(pairwise []float64) float64 {
 	return stats.Var0(pairwise)
 }
 
-// sample is one neighbor's reception history: the two most recent received
-// powers and their timestamps. Two successive receptions are exactly what
-// equation 1 needs; older history is deliberately not kept (the paper's
-// "history" extension smooths the aggregate M instead, see Option WithEWMA).
-type sample struct {
-	prevPr, lastPr float64
-	prevT, lastT   float64
-	count          int // receptions recorded (saturates at 2)
-	// smoothedRel is the per-neighbor EWMA of Mrel (pairwise history).
-	smoothedRel float64
-	smoothed    bool
-}
-
-// Option configures a Tracker.
-type Option func(*Tracker)
-
-// WithEWMA enables the Section 5 history extension: successive aggregate
-// mobility values are smoothed with an exponentially weighted moving average
-// of factor alpha in (0, 1]; alpha = 1 reproduces the memoryless paper
-// metric.
-func WithEWMA(alpha float64) Option {
-	return func(t *Tracker) {
-		t.smoother = stats.NewEWMA(alpha)
-	}
-}
-
-// WithPairwiseEWMA enables the alternative history placement: each
-// neighbor's relative-mobility samples are smoothed individually before the
-// variance is taken, instead of smoothing the aggregate. This remembers
-// per-link trends (a steadily approaching neighbor keeps a large |Mrel|)
-// where aggregate smoothing only remembers overall turbulence.
-func WithPairwiseEWMA(alpha float64) Option {
-	return func(t *Tracker) {
-		if alpha <= 0 || alpha > 1 {
-			alpha = 1
-		}
-		t.pairAlpha = alpha
-	}
-}
-
-// Tracker maintains, for one node, the reception history of every current
-// neighbor and computes the aggregate local mobility metric on demand. It is
-// the per-node state behind MOBIC.
-//
-// Tracker is not safe for concurrent use; the simulator is single-threaded.
-type Tracker struct {
-	neighbors map[int32]*sample
-	smoother  *stats.EWMA
-	// pairAlpha, when in (0, 1), smooths each neighbor's Mrel stream
-	// before aggregation (WithPairwiseEWMA); 0 disables.
-	pairAlpha float64
-	// scratch avoids a per-Aggregate allocation on the simulator hot path.
-	scratch []float64
-	// idScratch holds the sorted neighbor ids Pairwise iterates over, so
-	// the variance fold is independent of map iteration order (floating-
-	// point addition is not associative; a canonical order keeps repeated
-	// runs bit-identical).
-	idScratch []int32
-	// free recycles expired samples: under a lossy MAC, neighbors expire
-	// and reappear every few beacons, and re-allocating their history
-	// records would be the last allocation on the simulator hot path.
-	free []*sample
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker(opts ...Option) *Tracker {
-	t := &Tracker{neighbors: make(map[int32]*sample)}
-	for _, opt := range opts {
-		opt(t)
-	}
-	return t
-}
-
-// Observe records the reception of a hello from neighbor id at time t with
-// received power rxPr (Watts). Calls must be monotone in t per neighbor.
-func (tr *Tracker) Observe(id int32, t, rxPr float64) error {
-	if !(rxPr > 0) || math.IsInf(rxPr, 1) || math.IsNaN(rxPr) {
-		return fmt.Errorf("%w: %g from neighbor %d", ErrNonPositivePower, rxPr, id)
-	}
-	s, ok := tr.neighbors[id]
-	if !ok {
-		if k := len(tr.free); k > 0 {
-			s = tr.free[k-1]
-			tr.free[k-1] = nil
-			tr.free = tr.free[:k-1]
-			*s = sample{}
-		} else {
-			s = &sample{}
-		}
-		tr.neighbors[id] = s
-	}
-	s.prevPr, s.prevT = s.lastPr, s.lastT
-	s.lastPr, s.lastT = rxPr, t
-	if s.count < 2 {
-		s.count++
-	}
-	if s.count >= 2 && tr.pairAlpha > 0 && tr.pairAlpha < 1 {
-		rel, err := RelativeMobility(s.prevPr, s.lastPr)
-		if err == nil {
-			if !s.smoothed {
-				s.smoothedRel = rel
-				s.smoothed = true
-			} else {
-				s.smoothedRel = tr.pairAlpha*rel + (1-tr.pairAlpha)*s.smoothedRel
-			}
-		}
+// CheckPower returns ErrNonPositivePower unless pr is a usable received
+// power: positive and finite.
+func CheckPower(pr float64) error {
+	if !(pr > 0) || math.IsInf(pr, 1) {
+		return fmt.Errorf("%w: %g", ErrNonPositivePower, pr)
 	}
 	return nil
 }
 
-// Forget drops neighbor id entirely (e.g., on an explicit leave).
-func (tr *Tracker) Forget(id int32) {
-	if s, ok := tr.neighbors[id]; ok {
-		delete(tr.neighbors, id)
-		tr.free = append(tr.free, s)
+// Link is one neighbor's reception history at the receiving node: the two
+// most recent received powers, which are exactly what equation 1 needs, and
+// the link's smoothed Mrel when pairwise history is on. Older history is
+// deliberately not kept. The zero value is a link not yet heard.
+//
+// A node keeps one Link per neighbor and folds their Rel values into
+// AggregateLocalMobility in ascending neighbor-id order: floating-point
+// addition is not associative, and a canonical order keeps the last bits of
+// M — and therefore election outcomes — identical across runs.
+type Link struct {
+	prevPr, lastPr float64
+	// smoothedRel is the per-link EWMA of Mrel (pairwise history).
+	smoothedRel float64
+	count       uint8 // receptions recorded, saturating at 2
+	smoothed    bool
+}
+
+// Observe records one received hello of power pr (Watts), which must pass
+// CheckPower. A pairAlpha in (0, 1) enables the pairwise history extension:
+// the link's Mrel stream is smoothed by an EWMA of that factor before it
+// enters the aggregate, which remembers per-link trends (a steadily
+// approaching neighbor keeps a large |Mrel|) where smoothing the aggregate
+// only remembers overall turbulence. Any other pairAlpha keeps the paper's
+// memoryless metric.
+func (l *Link) Observe(pr, pairAlpha float64) {
+	l.prevPr, l.lastPr = l.lastPr, pr
+	if l.count < 2 {
+		l.count++
+	}
+	if l.count < 2 || !(pairAlpha > 0 && pairAlpha < 1) {
+		return
+	}
+	rel, err := RelativeMobility(l.prevPr, l.lastPr)
+	if err != nil {
+		return
+	}
+	if !l.smoothed {
+		l.smoothedRel = rel
+		l.smoothed = true
+	} else {
+		l.smoothedRel = pairAlpha*rel + (1-pairAlpha)*l.smoothedRel
 	}
 }
 
-// Expire purges neighbors not heard since now-timeout and returns how many
-// were dropped. This implements the paper's heuristic that only nodes that
-// participated in recent successive transmissions count toward M, combined
-// with the hello protocol's timeout period (Table 1: TP).
-func (tr *Tracker) Expire(now, timeout float64) int {
-	dropped := 0
-	for id, s := range tr.neighbors {
-		if s.lastT < now-timeout {
-			delete(tr.neighbors, id)
-			tr.free = append(tr.free, s)
-			dropped++
-		}
+// Rel returns the link's pairwise relative mobility in dB — smoothed under
+// pairwise history — and whether the link contributes to the aggregate: only
+// neighbors heard at least twice do.
+func (l *Link) Rel() (float64, bool) {
+	if l.count < 2 {
+		return 0, false
 	}
-	return dropped
-}
-
-// NeighborCount returns the number of tracked neighbors (any reception count).
-func (tr *Tracker) NeighborCount() int { return len(tr.neighbors) }
-
-// EligibleCount returns the number of neighbors with at least two receptions,
-// i.e. those contributing to the aggregate metric.
-func (tr *Tracker) EligibleCount() int {
-	n := 0
-	for _, s := range tr.neighbors {
-		if s.count >= 2 {
-			n++
-		}
+	if l.smoothed {
+		return l.smoothedRel, true
 	}
-	return n
-}
-
-// Pairwise appends the pairwise relative mobility (dB) for every eligible
-// neighbor to dst, in ascending neighbor-id order, and returns the extended
-// slice. The canonical order matters: the aggregate sums these values, and
-// summing in Go's randomized map order would make the last bits of M — and
-// therefore election outcomes — depend on iteration luck.
-func (tr *Tracker) Pairwise(dst []float64) []float64 {
-	tr.idScratch = tr.idScratch[:0]
-	for id, s := range tr.neighbors {
-		if s.count >= 2 {
-			tr.idScratch = append(tr.idScratch, id)
-		}
-	}
-	slices.Sort(tr.idScratch)
-	for _, id := range tr.idScratch {
-		s := tr.neighbors[id]
-		if s.smoothed {
-			dst = append(dst, s.smoothedRel)
-			continue
-		}
-		rel, err := RelativeMobility(s.prevPr, s.lastPr)
-		if err != nil {
-			// Observe validated both powers; this cannot happen.
-			continue
-		}
-		dst = append(dst, rel)
-	}
-	return dst
-}
-
-// Aggregate computes the aggregate local mobility M for the node right now:
-// var0 over all eligible neighbors' pairwise values, passed through the EWMA
-// smoother when configured. With no eligible neighbors it returns 0 (the
-// paper's initial value) — smoothed, if smoothing is on.
-func (tr *Tracker) Aggregate() float64 {
-	tr.scratch = tr.Pairwise(tr.scratch[:0])
-	m := AggregateLocalMobility(tr.scratch)
-	if tr.smoother != nil {
-		return tr.smoother.Update(m)
-	}
-	return m
-}
-
-// Reset clears all neighbor history and smoother state.
-func (tr *Tracker) Reset() {
-	for _, s := range tr.neighbors {
-		tr.free = append(tr.free, s)
-	}
-	clear(tr.neighbors)
-	if tr.smoother != nil {
-		tr.smoother.Reset()
-	}
+	rel, err := RelativeMobility(l.prevPr, l.lastPr)
+	return rel, err == nil
 }

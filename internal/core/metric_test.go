@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -100,124 +101,83 @@ func TestAggregateLocalMobility(t *testing.T) {
 	}
 }
 
+// The TestTracker* tests cover a node's reception tracking: one Link per
+// neighbor and the aggregate folded over them.
+
+// heard returns a link that received the given powers in order.
+func heard(prs ...float64) Link {
+	var l Link
+	for _, pr := range prs {
+		l.Observe(pr, 0)
+	}
+	return l
+}
+
+// mobility folds links into M the way a node does: eligible links' Rel
+// values, in the given (ascending-id) order.
+func mobility(links ...Link) float64 {
+	var rels []float64
+	for i := range links {
+		if rel, ok := links[i].Rel(); ok {
+			rels = append(rels, rel)
+		}
+	}
+	return AggregateLocalMobility(rels)
+}
+
 func TestTrackerNeedsTwoSamples(t *testing.T) {
-	tr := NewTracker()
-	if err := tr.Observe(1, 0, 1e-9); err != nil {
-		t.Fatal(err)
+	once := heard(1e-9)
+	if _, ok := once.Rel(); ok || mobility(once) != 0 {
+		t.Errorf("link heard once is eligible or moves M (%v)", mobility(once))
 	}
-	if tr.NeighborCount() != 1 {
-		t.Errorf("NeighborCount = %d, want 1", tr.NeighborCount())
-	}
-	if tr.EligibleCount() != 0 {
-		t.Errorf("EligibleCount = %d, want 0 after one sample", tr.EligibleCount())
-	}
-	if got := tr.Aggregate(); got != 0 {
-		t.Errorf("Aggregate with no eligible neighbors = %v, want 0", got)
-	}
-	if err := tr.Observe(1, 2, 2e-9); err != nil {
-		t.Fatal(err)
-	}
-	if tr.EligibleCount() != 1 {
-		t.Errorf("EligibleCount = %d, want 1", tr.EligibleCount())
-	}
+	twice := heard(1e-9, 2e-9)
 	want, err := RelativeMobility(1e-9, 2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Aggregate(); !almostEqual(got, want*want, 1e-9) {
-		t.Errorf("Aggregate = %v, want %v", got, want*want)
+	if rel, ok := twice.Rel(); !ok || rel != want {
+		t.Errorf("Rel = %v, %v; want %v, true", rel, ok, want)
+	}
+	if got := mobility(twice); !almostEqual(got, want*want, 1e-9) {
+		t.Errorf("aggregate = %v, want %v", got, want*want)
 	}
 }
 
 func TestTrackerRejectsBadPower(t *testing.T) {
-	tr := NewTracker()
-	if err := tr.Observe(1, 0, 0); err == nil {
-		t.Error("zero power should error")
+	for _, bad := range []float64{0, -1e-9, math.NaN(), math.Inf(1)} {
+		if err := CheckPower(bad); !errors.Is(err, ErrNonPositivePower) {
+			t.Errorf("CheckPower(%v) = %v, want ErrNonPositivePower", bad, err)
+		}
 	}
-	if err := tr.Observe(1, 0, math.NaN()); err == nil {
-		t.Error("NaN power should error")
-	}
-	if tr.NeighborCount() != 0 {
-		t.Error("rejected observation should not create a neighbor")
+	if err := CheckPower(1e-9); err != nil {
+		t.Errorf("CheckPower(1e-9) = %v", err)
 	}
 }
 
 func TestTrackerMultipleNeighbors(t *testing.T) {
-	tr := NewTracker()
 	// Neighbor 1: power doubles (+3.01 dB). Neighbor 2: halves (-3.01 dB).
 	// Neighbor 3: only one sample (excluded).
-	mustObserve(t, tr, 1, 0, 1e-9)
-	mustObserve(t, tr, 1, 2, 2e-9)
-	mustObserve(t, tr, 2, 0, 4e-9)
-	mustObserve(t, tr, 2, 2, 2e-9)
-	mustObserve(t, tr, 3, 2, 5e-9)
-
-	pw := tr.Pairwise(nil)
-	if len(pw) != 2 {
-		t.Fatalf("Pairwise len = %d, want 2", len(pw))
-	}
 	db := 10 * math.Log10(2)
-	if got := tr.Aggregate(); !almostEqual(got, db*db, 1e-9) {
-		t.Errorf("Aggregate = %v, want %v (symmetric +-3dB)", got, db*db)
+	if got := mobility(heard(1e-9, 2e-9), heard(4e-9, 2e-9), heard(5e-9)); !almostEqual(got, db*db, 1e-9) {
+		t.Errorf("aggregate = %v, want %v (symmetric +-3dB)", got, db*db)
 	}
 }
 
 func TestTrackerSlidingWindow(t *testing.T) {
-	tr := NewTracker()
-	mustObserve(t, tr, 1, 0, 1e-9)
-	mustObserve(t, tr, 1, 2, 2e-9)
-	mustObserve(t, tr, 1, 4, 8e-9) // new pair is (2e-9 -> 8e-9): +6.02 dB
+	l := heard(1e-9, 2e-9, 8e-9) // the latest pair is (2e-9 -> 8e-9): +6.02 dB
 	want, err := RelativeMobility(2e-9, 8e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw := tr.Pairwise(nil)
-	if len(pw) != 1 || !almostEqual(pw[0], want, 1e-9) {
-		t.Errorf("Pairwise = %v, want [%v]", pw, want)
-	}
-}
-
-func TestTrackerExpire(t *testing.T) {
-	tr := NewTracker()
-	mustObserve(t, tr, 1, 0, 1e-9)
-	mustObserve(t, tr, 1, 2, 1e-9)
-	mustObserve(t, tr, 2, 4, 1e-9)
-	mustObserve(t, tr, 2, 6, 1e-9)
-	// At t=7 with TP=3: neighbor 1 (last heard t=2) expires, 2 stays.
-	if dropped := tr.Expire(7, 3); dropped != 1 {
-		t.Errorf("Expire dropped %d, want 1", dropped)
-	}
-	if tr.NeighborCount() != 1 {
-		t.Errorf("NeighborCount = %d, want 1", tr.NeighborCount())
-	}
-	pw := tr.Pairwise(nil)
-	if len(pw) != 1 {
-		t.Errorf("Pairwise after expire = %v", pw)
-	}
-}
-
-func TestTrackerForgetAndReset(t *testing.T) {
-	tr := NewTracker()
-	mustObserve(t, tr, 1, 0, 1e-9)
-	tr.Forget(1)
-	if tr.NeighborCount() != 0 {
-		t.Error("Forget should remove neighbor")
-	}
-	mustObserve(t, tr, 2, 0, 1e-9)
-	tr.Reset()
-	if tr.NeighborCount() != 0 {
-		t.Error("Reset should clear neighbors")
+	if rel, ok := l.Rel(); !ok || rel != want {
+		t.Errorf("Rel = %v, %v; want %v, true", rel, ok, want)
 	}
 }
 
 func TestTrackerStationaryNodeHasZeroM(t *testing.T) {
 	// A node whose neighbors' powers never change is perfectly non-mobile.
-	tr := NewTracker()
-	for i := int32(1); i <= 5; i++ {
-		mustObserve(t, tr, i, 0, 1e-9)
-		mustObserve(t, tr, i, 2, 1e-9)
-	}
-	if got := tr.Aggregate(); got != 0 {
+	still := heard(1e-9, 1e-9)
+	if got := mobility(still, still, still, still, still); got != 0 {
 		t.Errorf("stationary aggregate = %v, want 0", got)
 	}
 }
@@ -228,10 +188,7 @@ func TestTrackerOrdersMobility(t *testing.T) {
 	model := radio.NewTwoRayGround()
 	const pt = radio.DefaultTxPower
 	agg := func(d0, d1 float64) float64 {
-		tr := NewTracker()
-		mustObserve(t, tr, 1, 0, model.RxPower(pt, d0))
-		mustObserve(t, tr, 1, 2, model.RxPower(pt, d1))
-		return tr.Aggregate()
+		return mobility(heard(model.RxPower(pt, d0), model.RxPower(pt, d1)))
 	}
 	slow := agg(100, 105)  // 2.5 m/s drift
 	fast := agg(100, 140)  // 20 m/s drift
@@ -241,106 +198,65 @@ func TestTrackerOrdersMobility(t *testing.T) {
 	}
 }
 
-func TestTrackerEWMA(t *testing.T) {
-	tr := NewTracker(WithEWMA(0.5))
-	// First aggregate: one neighbor at +
-	mustObserve(t, tr, 1, 0, 1e-9)
-	mustObserve(t, tr, 1, 2, 2e-9)
-	db := 10 * math.Log10(2)
-	first := tr.Aggregate()
-	if !almostEqual(first, db*db, 1e-9) {
-		t.Fatalf("first smoothed aggregate = %v, want %v", first, db*db)
-	}
-	// Neighborhood goes quiet: raw M drops to 0, smoothed decays halfway.
-	mustObserve(t, tr, 1, 4, 2e-9)
-	second := tr.Aggregate()
-	if !almostEqual(second, first/2, 1e-9) {
-		t.Errorf("smoothed aggregate = %v, want %v", second, first/2)
-	}
-}
-
 func TestTrackerPairwiseEWMA(t *testing.T) {
-	tr := NewTracker(WithPairwiseEWMA(0.5))
-	// Neighbor 1: first pair gives +3.01 dB; the smoothed value primes
-	// to exactly that.
-	mustObserve(t, tr, 1, 0, 1e-9)
-	mustObserve(t, tr, 1, 2, 2e-9)
+	var l Link
+	// The first pair gives +3.01 dB; the smoothed value primes to exactly
+	// that.
+	l.Observe(1e-9, 0.5)
+	l.Observe(2e-9, 0.5)
 	db := 10 * math.Log10(2)
-	pw := tr.Pairwise(nil)
-	if len(pw) != 1 || !almostEqual(pw[0], db, 1e-9) {
-		t.Fatalf("primed pairwise = %v, want [%v]", pw, db)
+	if rel, ok := l.Rel(); !ok || !almostEqual(rel, db, 1e-9) {
+		t.Fatalf("primed Rel = %v, %v; want %v", rel, ok, db)
 	}
 	// Next pair is flat (0 dB); smoothed halves.
-	mustObserve(t, tr, 1, 4, 2e-9)
-	pw = tr.Pairwise(nil)
-	if len(pw) != 1 || !almostEqual(pw[0], db/2, 1e-9) {
-		t.Errorf("smoothed pairwise = %v, want [%v]", pw, db/2)
+	l.Observe(2e-9, 0.5)
+	if rel, ok := l.Rel(); !ok || !almostEqual(rel, db/2, 1e-9) {
+		t.Errorf("smoothed Rel = %v, %v; want %v", rel, ok, db/2)
 	}
-	// Aggregate uses the smoothed value.
-	if got := tr.Aggregate(); !almostEqual(got, (db/2)*(db/2), 1e-9) {
-		t.Errorf("Aggregate = %v, want %v", got, (db/2)*(db/2))
+	// The aggregate uses the smoothed value.
+	if got := mobility(l); !almostEqual(got, (db/2)*(db/2), 1e-9) {
+		t.Errorf("aggregate = %v, want %v", got, (db/2)*(db/2))
 	}
 }
 
 func TestPairwiseEWMAInvalidAlphaDisables(t *testing.T) {
-	tr := NewTracker(WithPairwiseEWMA(1.5)) // clamped to 1 = memoryless
-	mustObserve(t, tr, 1, 0, 1e-9)
-	mustObserve(t, tr, 1, 2, 2e-9)
-	mustObserve(t, tr, 1, 4, 2e-9)
-	pw := tr.Pairwise(nil)
-	if len(pw) != 1 || pw[0] != 0 {
-		t.Errorf("memoryless pairwise = %v, want [0]", pw)
+	for _, alpha := range []float64{1.5, 1, 0, -0.5} {
+		var l Link
+		l.Observe(1e-9, alpha)
+		l.Observe(2e-9, alpha)
+		l.Observe(2e-9, alpha)
+		if rel, ok := l.Rel(); !ok || rel != 0 {
+			t.Errorf("alpha %v: Rel = %v, %v; want the memoryless 0", alpha, rel, ok)
+		}
 	}
 }
 
-func TestTrackerEWMAResetClearsSmoother(t *testing.T) {
-	tr := NewTracker(WithEWMA(0.5))
-	mustObserve(t, tr, 1, 0, 1e-9)
-	mustObserve(t, tr, 1, 2, 4e-9)
-	if tr.Aggregate() == 0 {
-		t.Fatal("aggregate should be nonzero before reset")
-	}
-	tr.Reset()
-	if got := tr.Aggregate(); got != 0 {
-		t.Errorf("post-reset aggregate = %v, want 0", got)
-	}
-}
-
-// Property: Aggregate is always non-negative regardless of power sequences.
+// Property: the aggregate is always non-negative regardless of power
+// sequences.
 func TestAggregateNonNegativeProperty(t *testing.T) {
 	nonNeg := func(powers []uint32) bool {
-		tr := NewTracker()
+		var links [7]Link
 		for i, p := range powers {
-			pw := 1e-12 * (1 + float64(p%1000000))
-			if err := tr.Observe(int32(i%7), float64(i), pw); err != nil {
-				return false
-			}
+			links[i%7].Observe(1e-12*(1+float64(p%1000000)), 0)
 		}
-		return tr.Aggregate() >= 0
+		return mobility(links[:]...) >= 0
 	}
 	if err := quick.Check(nonNeg, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func mustObserve(t *testing.T, tr *Tracker, id int32, tm, pr float64) {
-	t.Helper()
-	if err := tr.Observe(id, tm, pr); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkTrackerObserveAggregate(b *testing.B) {
-	tr := NewTracker()
+// BenchmarkLinkObserveRel measures one reception plus the link's share of
+// the mobility fold, over a 20-neighbor table.
+func BenchmarkLinkObserveRel(b *testing.B) {
+	var links [20]Link
 	b.ReportAllocs()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		id := int32(i % 20)
-		if err := tr.Observe(id, float64(i), 1e-9*(1+float64(i%13))); err != nil {
-			b.Fatal(err)
-		}
-		if i%20 == 19 {
-			sink = tr.Aggregate()
+		l := &links[i%len(links)]
+		l.Observe(1e-9*(1+float64(i%13)), 0)
+		if rel, ok := l.Rel(); ok {
+			sink += rel * rel
 		}
 	}
 	_ = sink

@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"reflect"
 	"sync"
 	"time"
 
@@ -489,8 +490,14 @@ func (c *Coordinator) completeJob(j *remoteJob, st *service.Status) {
 		return
 	}
 	j.terminal = true
+	if reflect.DeepEqual(st.Spec, j.spec) {
+		// The worker echoes the submitted spec: keep one copy for the TTL.
+		st.Spec = j.spec
+	}
 	j.final = st
 	j.finished = c.cfg.Clock()
+	// A finished job never fails over, so its checkpoints are dead weight.
+	j.cps = experiment.ExportCheckpoints(nil)
 	if st.StartedAt != nil && st.FinishedAt != nil {
 		if d := st.FinishedAt.Sub(*st.StartedAt).Seconds(); d > 0 {
 			// Same smoothing the worker service uses for its own hint.

@@ -80,7 +80,7 @@ func TestDegreeDigestOrderIndependent(t *testing.T) {
 
 // TestMobicDigestOrderIndependentWithCollisions exercises the measured
 // (RxPr-ratio) metric with the MAC collision model on, covering the
-// core.Tracker pairwise fold and the timeout purge ordering together.
+// pairwise-mobility fold and the timeout purge ordering together.
 func TestMobicDigestOrderIndependentWithCollisions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated runs are long-mode work")

@@ -55,7 +55,9 @@ type StreamEvent struct {
 // every change (a broadcast that needs no subscriber registry). The log —
 // rather than snapshot polling — guarantees no progress event is coalesced
 // away, so streams see every completed cell. Its length is bounded by the
-// job's cell count (seeds × sweep points) plus two transitions.
+// job's cell count (seeds × sweep points) plus two transitions. A finished
+// job holds the log in an exact-size slice whose final "result" event
+// carries no status: EventsSince attaches it when handing the event out.
 type Job struct {
 	id      string
 	spec    JobSpec
@@ -244,8 +246,10 @@ func (j *Job) finish(state State, out *Output, errMsg string, now time.Time) {
 	j.errMsg = errMsg
 	j.finished = now
 	j.cancel = nil
-	st := j.statusLocked()
-	j.events = append(j.events, StreamEvent{Type: "result", State: state, Stat: &st})
+	events := make([]StreamEvent, len(j.events)+1)
+	copy(events, j.events)
+	events[len(j.events)] = StreamEvent{Type: "result", State: state}
+	j.events = events
 	j.changed()
 }
 
@@ -260,7 +264,17 @@ func (j *Job) EventsSince(i int) ([]StreamEvent, <-chan struct{}) {
 	}
 	// The events slice is append-only, so sharing the backing array with
 	// readers is safe.
-	return j.events[i:], j.notify
+	events := j.events[i:]
+	if n := len(events); n > 0 && events[n-1].Type == "result" {
+		// The status of a finished job never changes, so the result event
+		// is completed from it here rather than holding a copy for the
+		// job's whole TTL. The copy keeps the shared log untouched.
+		last := events[n-1]
+		st := j.statusLocked()
+		last.Stat = &st
+		events = append(events[:n-1:n-1], last)
+	}
+	return events, j.notify
 }
 
 // RequestCancel marks the job for cancellation. A running job's context is

@@ -1,0 +1,7 @@
+//go:build race
+
+package service
+
+// raceEnabled lets heap-accounting tests skip under the race detector,
+// whose shadow memory and instrumentation distort allocation sizes.
+const raceEnabled = true

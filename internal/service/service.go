@@ -1023,6 +1023,12 @@ func (s *Service) runJob(job *Job) {
 			runner.Resume = cps
 		}
 		runner.Checkpoint = func(cell int, cs experiment.CellStats) {
+			if !job.spec.IncludeRaw {
+				// runSweep strips Raw from this job's output anyway, so
+				// the journal, the replica and the held prefix need not
+				// carry the per-seed snapshots.
+				cs.Raw = nil
+			}
 			rec := record{Type: recCheckpoint, Job: job.ID(), Time: s.cfg.Clock(), Cell: cell, Stats: &cs}
 			s.journalApply(rec, func() {
 				job.addCheckpoint(cell, cs)

@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"slices"
-
 	"mobic/internal/cluster"
 	"mobic/internal/geom"
 )
@@ -47,7 +45,8 @@ type AppAPI interface {
 	// Head returns a node's current clusterhead (NoHead if none).
 	Head(id int32) int32
 	// AudibleHeads returns the clusterheads currently in a node's
-	// neighbor table — what the node itself knows, not ground truth.
+	// neighbor table — what the node itself knows, not ground truth — in
+	// ascending ID order (deterministic).
 	AudibleHeads(id int32) []int32
 	// Neighbors returns every entry in a node's hello neighbor table, in
 	// ascending ID order (deterministic).
@@ -72,22 +71,19 @@ func (a *appAPI) Role(id int32) cluster.Role { return a.n.nodes[id].cnode.Role()
 func (a *appAPI) Head(id int32) int32        { return a.n.nodes[id].cnode.Head() }
 
 func (a *appAPI) AudibleHeads(id int32) []int32 {
+	nb := &a.n.nodes[id].nbrs
 	var out []int32
-	for nid, e := range a.n.nodes[id].table {
-		if e.role == cluster.RoleHead {
-			out = append(out, nid)
+	for i := range nb.recs {
+		if nb.recs[i].role == cluster.RoleHead {
+			out = append(out, nb.ids[i])
 		}
 	}
 	return out
 }
 
 func (a *appAPI) Neighbors(id int32) []int32 {
-	out := make([]int32, 0, len(a.n.nodes[id].table))
-	for nid := range a.n.nodes[id].table {
-		out = append(out, nid)
-	}
-	slices.Sort(out)
-	return out
+	ids := a.n.nodes[id].nbrs.ids
+	return append(make([]int32, 0, len(ids)), ids...)
 }
 
 func (a *appAPI) After(delay float64, fn func(now float64)) error {

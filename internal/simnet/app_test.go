@@ -37,8 +37,8 @@ func (e *echoApp) OnUnicast(_ float64, _, at int32, payload Payload) {
 }
 
 // lineNet builds a static 3-node line: 0 -- 1 -- 2 with only adjacent pairs
-// in range, plus the given app.
-func lineNet(t *testing.T, app App) *Network {
+// in range, running the given apps and failures.
+func lineNet(t *testing.T, failures []NodeFailure, apps ...App) *Network {
 	t.Helper()
 	cfg := Config{
 		N:         3,
@@ -48,7 +48,8 @@ func lineNet(t *testing.T, app App) *Network {
 		Algorithm: cluster.LCC,
 		Mobility:  &lineMobility{spacing: 100, y: 5},
 		TxRange:   120,
-		Apps:      []App{app},
+		Apps:      apps,
+		Failures:  failures,
 	}
 	net, err := New(cfg)
 	if err != nil {
@@ -69,7 +70,7 @@ func TestAppBroadcastReachesOnlyInRange(t *testing.T) {
 			}
 		})
 	}
-	net := lineNet(t, app)
+	net := lineNet(t, nil, app)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestAppUnicastRangeAndSelfChecks(t *testing.T) {
 			}
 		})
 	}
-	net := lineNet(t, app)
+	net := lineNet(t, nil, app)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +126,8 @@ func TestAppAPIIntrospection(t *testing.T) {
 				t.Errorf("head(1) = %d", api.Head(1))
 			}
 			// The middle node hears both heads.
-			if got := len(api.AudibleHeads(1)); got != 2 {
-				t.Errorf("AudibleHeads(1) = %d, want 2", got)
+			if hs := api.AudibleHeads(1); len(hs) != 2 || hs[0] != 0 || hs[1] != 2 {
+				t.Errorf("AudibleHeads(1) = %v, want sorted [0 2]", hs)
 			}
 			nbs := api.Neighbors(1)
 			if len(nbs) != 2 || nbs[0] != 0 || nbs[1] != 2 {
@@ -137,7 +138,7 @@ func TestAppAPIIntrospection(t *testing.T) {
 			}
 		})
 	}
-	net := lineNet(t, app)
+	net := lineNet(t, nil, app)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,21 +156,7 @@ func TestAppUnicastToDownNodeFails(t *testing.T) {
 			}
 		})
 	}
-	cfg := Config{
-		N:         3,
-		Area:      geom.NewRect(300, 10),
-		Duration:  30,
-		Seed:      1,
-		Algorithm: cluster.LCC,
-		Mobility:  &lineMobility{spacing: 100, y: 5},
-		TxRange:   120,
-		Apps:      []App{app},
-		Failures:  []NodeFailure{{Node: 1, At: 5}},
-	}
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := lineNet(t, []NodeFailure{{Node: 1, At: 5}}, app)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,20 +170,7 @@ func TestMultipleAppsAllReceive(t *testing.T) {
 	a.onStart = func(api AppAPI) {
 		_ = api.After(5, func(float64) { api.Broadcast(1, "ping") })
 	}
-	cfg := Config{
-		N:         3,
-		Area:      geom.NewRect(300, 10),
-		Duration:  30,
-		Seed:      1,
-		Algorithm: cluster.LCC,
-		Mobility:  &lineMobility{spacing: 100, y: 5},
-		TxRange:   120,
-		Apps:      []App{a, b},
-	}
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := lineNet(t, nil, a, b)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}

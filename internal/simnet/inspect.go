@@ -34,20 +34,14 @@ func (n *Network) Now() float64 { return n.sched.Now() }
 func (n *Network) Snapshot() []NodeState {
 	out := make([]NodeState, 0, len(n.nodes))
 	for _, rn := range n.nodes {
-		heads := 0
-		for _, e := range rn.table {
-			if e.role == cluster.RoleHead {
-				heads++
-			}
-		}
 		out = append(out, NodeState{
 			ID:        rn.id,
 			Pos:       rn.traj.At(n.sched.Now()),
 			Role:      rn.cnode.Role(),
 			Head:      rn.cnode.Head(),
 			M:         n.lastM[rn.id],
-			Gateway:   rn.cnode.Role() == cluster.RoleMember && heads >= 2,
-			Neighbors: len(rn.table),
+			Gateway:   rn.cnode.Role() == cluster.RoleMember && rn.nbrs.headCount() >= 2,
+			Neighbors: len(rn.nbrs.ids),
 			Down:      n.down[rn.id],
 		})
 	}

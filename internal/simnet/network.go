@@ -17,30 +17,78 @@ import (
 	"mobic/internal/radio"
 	"mobic/internal/sim"
 	"mobic/internal/spatial"
+	"mobic/internal/stats"
 	"mobic/internal/trace"
 )
 
-// neighborEntry is what the hello protocol knows about one neighbor from its
-// most recent beacon.
-type neighborEntry struct {
+// neighbor is what a node knows about one neighbor: when it last heard a
+// hello from it, the clustering state that hello advertised, and the link's
+// reception history for the mobility metric.
+type neighbor struct {
 	lastHeard float64
 	weight    cluster.Weight
 	role      cluster.Role
 	head      int32
+	link      core.Link
+}
+
+// neighborTable is one node's hello-protocol neighbor table in ascending-id
+// order: recs[i] is the record of neighbor ids[i]. A delivery finds its
+// neighbor with one binary search over ids and writes one record; the purge,
+// the mobility fold, the clustering views and the gateway count are each one
+// linear pass in canonical id order, so nothing depends on map iteration and
+// repeated runs are bit-identical. Records sit beside the ids rather than in
+// one slice per field because a delivery touches every field of a neighbor.
+type neighborTable struct {
+	ids  []int32
+	recs []neighbor
+}
+
+// hear returns id's record, inserting a zero record in id order when id is
+// new (added reports that).
+func (t *neighborTable) hear(id int32) (rec *neighbor, added bool) {
+	i, found := slices.BinarySearch(t.ids, id)
+	if !found {
+		t.ids = slices.Insert(t.ids, i, id)
+		t.recs = slices.Insert(t.recs, i, neighbor{})
+	}
+	return &t.recs[i], !found
+}
+
+// reset empties the table, keeping its storage for reuse.
+func (t *neighborTable) reset() {
+	t.ids = t.ids[:0]
+	t.recs = t.recs[:0]
+}
+
+// headCount returns how many neighbors' last hello advertised the head
+// role: a member hearing two or more heads is a gateway.
+func (t *neighborTable) headCount() int {
+	heads := 0
+	for i := range t.recs {
+		if t.recs[i].role == cluster.RoleHead {
+			heads++
+		}
+	}
+	return heads
 }
 
 // runtimeNode is the per-node simulation state that is inherently
-// reference-shaped (state machines, maps, events). The hot scalar state a
+// reference-shaped (state machines, tables, events). The hot scalar state a
 // beacon tick reads and writes — down flag, cached mobility, tick count,
 // custom weight — lives in dense struct-of-arrays slices on the Network
 // instead (down, lastM, tickCount, customW), so the tick loop walks
 // cache-linear memory rather than chasing one pointer per node.
 type runtimeNode struct {
-	id      int32
-	cnode   *cluster.Node
-	tracker *core.Tracker
-	traj    *mobility.Trajectory
-	table   map[int32]*neighborEntry
+	id    int32
+	cnode *cluster.Node
+	traj  *mobility.Trajectory
+	// nbrs is the hello protocol's neighbor table, which also carries each
+	// link's reception history for the mobility metric.
+	nbrs neighborTable
+	// smoother is the aggregate-history EWMA over successive M values
+	// (paper Section 5); nil unless Algorithm.EWMAAlpha is in (0, 1).
+	smoother *stats.EWMA
 	// tickEv is the node's persistent hello-protocol event: the callback is
 	// bound once at construction and the same event is rescheduled for
 	// every beacon, so a steady beacon stream allocates neither events nor
@@ -120,15 +168,9 @@ type Network struct {
 	// scratch buffers reused across broadcasts and ticks.
 	candBuf []int32
 	viewBuf []cluster.NeighborView
-	// idBuf holds the sorted neighbor ids of the node currently ticking.
-	// The canonical ascending order makes timeout emission, the neighbor
-	// views handed to the clustering step, and the oracle-mobility fold all
-	// independent of Go's randomized map iteration.
-	idBuf []int32
-	// rxFree and entryFree recycle MAC receptions and neighbor-table
-	// entries.
-	rxFree    []*reception
-	entryFree []*neighborEntry
+	relBuf  []float64
+	// rxFree recycles MAC receptions.
+	rxFree []*reception
 	// sampler scratch: cluster sizes indexed by head id, the list of head
 	// ids touched this sample, the sizes handed to the recorder, the
 	// position snapshot, and the reusable topology graph.
@@ -225,19 +267,13 @@ func New(cfg Config) (*Network, error) {
 
 	for i := 0; i < cfg.N; i++ {
 		id := int32(i)
-		var opts []core.Option
-		if a := cfg.Algorithm.EWMAAlpha; a > 0 && a < 1 {
-			opts = append(opts, core.WithEWMA(a))
-		}
-		if a := cfg.Algorithm.PairwiseEWMAAlpha; a > 0 && a < 1 {
-			opts = append(opts, core.WithPairwiseEWMA(a))
-		}
 		rn := &runtimeNode{
-			id:      id,
-			cnode:   cluster.NewNode(id, cfg.Algorithm.Policy),
-			tracker: core.NewTracker(opts...),
-			traj:    trajs[i],
-			table:   make(map[int32]*neighborEntry),
+			id:    id,
+			cnode: cluster.NewNode(id, cfg.Algorithm.Policy),
+			traj:  trajs[i],
+		}
+		if a := cfg.Algorithm.EWMAAlpha; a > 0 && a < 1 {
+			rn.smoother = stats.NewEWMA(a)
 		}
 		rn.cnode.OnRoleChange(func(now float64, old, newRole cluster.Role) {
 			n.rec.RoleChange(now, id, old, newRole)
@@ -325,11 +361,10 @@ func (n *Network) crash(rn *runtimeNode, now float64) {
 	}
 	n.down[rn.id] = true
 	rn.cnode.Reset(now)
-	rn.tracker.Reset()
-	for _, e := range rn.table {
-		n.releaseEntry(e)
+	rn.nbrs.reset()
+	if rn.smoother != nil {
+		rn.smoother.Reset()
 	}
-	clear(rn.table)
 	for _, rec := range rn.pendingRx {
 		n.sched.Cancel(rec.ev)
 		n.releaseReception(rec)
@@ -462,11 +497,10 @@ func (n *Network) RunContext(ctx context.Context) (*Result, error) {
 // compute the fresh weight, run the clustering decision, broadcast, and
 // schedule the next tick.
 //
-// The whole round walks the neighbor table in ascending-id order through a
-// single sorted scratch pass: timeouts are emitted canonically, the views
-// handed to the clustering step are id-ordered, and the surviving id list
-// feeds the oracle-mobility fold. Nothing here depends on Go's randomized
-// map iteration, so repeated runs are bit-identical.
+// Every pass over the neighbor table runs in its ascending-id order:
+// timeouts are emitted canonically, and the mobility fold, the views handed
+// to the clustering step and the oracle-mobility fold are id-ordered, so
+// repeated runs are bit-identical.
 func (n *Network) tick(rn *runtimeNode, now float64) {
 	if n.down[rn.id] {
 		return // crashed: the beacon chain stops until recovery
@@ -484,41 +518,35 @@ func (n *Network) tick(rn *runtimeNode, now float64) {
 			return
 		}
 	}
-	// Purge neighbors that missed their beacons (Table 1: TP).
-	tp := n.cfg.TimeoutPeriod
-	rn.tracker.Expire(now, tp)
-	ids := n.idBuf[:0]
-	for id := range rn.table {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	live := ids[:0] // compact survivors into the same backing array
-	for _, id := range ids {
-		e := rn.table[id]
-		if e.lastHeard < now-tp {
-			delete(rn.table, id)
-			n.releaseEntry(e)
+	// Purge neighbors that missed their beacons (Table 1: TP), compacting
+	// the table in place.
+	nb := &rn.nbrs
+	cutoff := now - n.cfg.TimeoutPeriod
+	kept := 0
+	for i, id := range nb.ids {
+		if nb.recs[i].lastHeard < cutoff {
 			n.obsRec.Add(obs.NetNeighborTimeouts, 1)
 			n.emit(trace.Event{
 				T: now, Kind: trace.KindTimeout, Node: rn.id, Other: id,
 			})
 			continue
 		}
-		live = append(live, id)
+		nb.ids[kept], nb.recs[kept] = id, nb.recs[i]
+		kept++
 	}
-	n.idBuf = ids
+	nb.ids, nb.recs = nb.ids[:kept], nb.recs[:kept]
 
-	n.lastM[rn.id] = rn.tracker.Aggregate()
+	n.lastM[rn.id] = n.aggregateMobility(rn)
 	wasHead := rn.cnode.Role() == cluster.RoleHead
-	weight := n.weightOf(rn, live)
+	weight := n.weightOf(rn)
 
 	// The first tick is listen-only: the node has had no chance to hear
 	// anyone, and electing heads blind would register a storm of spurious
 	// clusterhead changes for every algorithm alike.
 	if n.tickCount[rn.id] > 0 {
 		views := n.viewBuf[:0]
-		for _, id := range live {
-			e := rn.table[id]
+		for i, id := range nb.ids {
+			e := &nb.recs[i]
 			views = append(views, cluster.NeighborView{
 				ID:     id,
 				Weight: e.weight,
@@ -575,7 +603,7 @@ func (n *Network) tick(rn *runtimeNode, now float64) {
 	}
 	if resigned {
 		rn.cnode.Resign(now)
-		rn.cnode.SetWeight(n.weightOf(rn, live))
+		rn.cnode.SetWeight(n.weightOf(rn))
 	}
 
 	n.broadcast(rn, now)
@@ -597,10 +625,27 @@ func (n *Network) tick(rn *runtimeNode, now float64) {
 	}
 }
 
+// aggregateMobility computes the node's aggregate local mobility M (paper
+// equation 2) over its eligible links in ascending neighbor-id order, passed
+// through the aggregate-history smoother when one is configured.
+func (n *Network) aggregateMobility(rn *runtimeNode) float64 {
+	rels := n.relBuf[:0]
+	for i := range rn.nbrs.recs {
+		if rel, ok := rn.nbrs.recs[i].link.Rel(); ok {
+			rels = append(rels, rel)
+		}
+	}
+	n.relBuf = rels
+	m := core.AggregateLocalMobility(rels)
+	if rn.smoother != nil {
+		return rn.smoother.Update(m)
+	}
+	return m
+}
+
 // weightOf computes the node's current election weight per the algorithm's
-// weight kind. neighborIDs is the node's current neighbor-id list in
-// ascending order (tick's post-purge survivors).
-func (n *Network) weightOf(rn *runtimeNode, neighborIDs []int32) cluster.Weight {
+// weight kind.
+func (n *Network) weightOf(rn *runtimeNode) cluster.Weight {
 	var w cluster.Weight
 	switch n.cfg.Algorithm.WeightKind {
 	case cluster.KindID:
@@ -608,7 +653,7 @@ func (n *Network) weightOf(rn *runtimeNode, neighborIDs []int32) cluster.Weight 
 	case cluster.KindMobility:
 		value := n.lastM[rn.id]
 		if c := n.cfg.CombinedDegreeWeight; c > 0 {
-			dev := len(rn.table) - n.cfg.IdealDegree
+			dev := len(rn.nbrs.ids) - n.cfg.IdealDegree
 			if dev < 0 {
 				dev = -dev
 			}
@@ -616,11 +661,11 @@ func (n *Network) weightOf(rn *runtimeNode, neighborIDs []int32) cluster.Weight 
 		}
 		w = cluster.Weight{Value: value, ID: rn.id}
 	case cluster.KindDegree:
-		w = cluster.Weight{Value: -float64(len(rn.table)), ID: rn.id}
+		w = cluster.Weight{Value: -float64(len(rn.nbrs.ids)), ID: rn.id}
 	case cluster.KindCustom:
 		w = cluster.Weight{Value: n.customW[rn.id], ID: rn.id}
 	case cluster.KindOracleMobility:
-		w = cluster.Weight{Value: n.oracleMobility(rn, neighborIDs), ID: rn.id}
+		w = cluster.Weight{Value: n.oracleMobility(rn), ID: rn.id}
 	case cluster.KindAdaptiveID:
 		// Adaptive ID reassignment: every completed ReassignRounds of
 		// uninterrupted head service pushes the effective ID behind all N
@@ -650,10 +695,11 @@ func (n *Network) weightOf(rn *runtimeNode, neighborIDs []int32) cluster.Weight 
 // toward every neighbor currently in the hello table. It measures exactly
 // what the RxPr-ratio metric estimates, but from the trajectories directly.
 //
-// neighborIDs must be in ascending order: floating-point addition is not
-// associative, so folding sumSq in map order would make the low bits of the
+// The fold runs in the table's ascending-id order: floating-point addition
+// is not associative, so any other order would make the low bits of the
 // weight — and with them election outcomes — vary run to run.
-func (n *Network) oracleMobility(rn *runtimeNode, neighborIDs []int32) float64 {
+func (n *Network) oracleMobility(rn *runtimeNode) float64 {
+	neighborIDs := rn.nbrs.ids
 	const dt = 0.5 // range-rate differencing window in seconds
 	now := n.sched.Now()
 	t0 := now - dt
@@ -795,23 +841,6 @@ func (n *Network) releaseReception(rec *reception) {
 	n.rxFree = append(n.rxFree, rec)
 }
 
-// newEntry draws a neighbor-table entry from the pool.
-func (n *Network) newEntry() *neighborEntry {
-	if k := len(n.entryFree); k > 0 {
-		e := n.entryFree[k-1]
-		n.entryFree[k-1] = nil
-		n.entryFree = n.entryFree[:k-1]
-		return e
-	}
-	return &neighborEntry{}
-}
-
-// releaseEntry returns a purged neighbor-table entry to the pool.
-func (n *Network) releaseEntry(e *neighborEntry) {
-	*e = neighborEntry{}
-	n.entryFree = append(n.entryFree, e)
-}
-
 // deferDelivery models the beacon's airtime: the packet is handed up only
 // at the end of its transmission, and any overlapping reception at the same
 // receiver destroys both (no capture).
@@ -874,20 +903,19 @@ func (n *Network) applyHello(txID int32, rx *runtimeNode, now, pr float64, adv a
 	n.emit(trace.Event{
 		T: now, Kind: trace.KindDeliver, Node: txID, Other: rx.id, Value: pr,
 	})
-	if err := rx.tracker.Observe(txID, now, pr); err != nil {
+	if err := core.CheckPower(pr); err != nil {
 		// RxPower of a validated model is always positive; skip defensively.
 		return
 	}
-	e, ok := rx.table[txID]
-	if !ok {
-		e = n.newEntry()
-		rx.table[txID] = e
+	e, added := rx.nbrs.hear(txID)
+	if added {
 		n.obsRec.Add(obs.NetNeighborAdds, 1)
 	}
 	e.lastHeard = now
 	e.weight = adv.weight
 	e.role = adv.role
 	e.head = adv.head
+	e.link.Observe(pr, n.cfg.Algorithm.PairwiseEWMAAlpha)
 }
 
 // sampleClusters periodically counts heads, gateways and cluster sizes for
@@ -925,13 +953,7 @@ func (n *Network) sampleClusters(now float64) {
 				// the NoHead map bucket used to.
 				noHead++
 			}
-			audible := 0
-			for _, e := range rn.table {
-				if e.role == cluster.RoleHead {
-					audible++
-				}
-			}
-			if audible >= 2 {
+			if rn.nbrs.headCount() >= 2 {
 				gateways++
 			}
 		}

@@ -53,15 +53,6 @@ echo "$targets" | while read -r pkg target; do
     go test -run='^$' -fuzz="^${target}\$" -fuzztime=5s "$pkg"
 done
 
-echo "== golden digest inventory (base grid + policy runs, 2 seeds each)"
-digests="$(grep -c '"sha256"' internal/harness/testdata/digests.json)"
-echo "pinned trace digests: ${digests}"
-if [ "$digests" -ne 24 ]; then
-    echo "expected 24 pinned golden digests (9 base grid pairs + 3 policy runs, x2 seeds), found ${digests}" >&2
-    echo "if a workload or policy was added deliberately, update this assertion" >&2
-    exit 1
-fi
-
 echo "== loadgen fairness smoke (2 tenants at 4:1 weights, embedded service)"
 go run ./cmd/loadgen -tenants heavy:4,light:1 -clients 4 -warmup 500ms \
     -duration 3s -job-ms 10 -tolerance 0.25
