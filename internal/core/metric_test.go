@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mobic/internal/radio"
+	"mobic/internal/stats"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -182,6 +183,49 @@ func TestTrackerStationaryNodeHasZeroM(t *testing.T) {
 	}
 }
 
+// A node expires a neighbor by dropping its Link: M is then folded over the
+// survivors only, and a neighbor heard again starts from a zero Link whose
+// first pair uses only powers received after it came back.
+func TestTrackerExpire(t *testing.T) {
+	gone, kept := heard(1e-9, 4e-9), heard(1e-9, 1e-9)
+	if mobility(gone, kept) == 0 {
+		t.Fatal("a +6 dB neighbor should move M before it expires")
+	}
+	if got := mobility(kept); got != 0 {
+		t.Errorf("aggregate after expiry = %v, want 0", got)
+	}
+	var back Link
+	back.Observe(4e-9, 0)
+	if _, ok := back.Rel(); ok {
+		t.Error("re-heard neighbor is eligible after one reception")
+	}
+	back.Observe(4e-9, 0)
+	if rel, ok := back.Rel(); !ok || rel != 0 {
+		t.Errorf("re-heard Rel = %v, %v; want 0, true (no pre-expiry history)", rel, ok)
+	}
+}
+
+// Forgetting a neighbor (or resetting a crashed node) resets its Link to the
+// zero value, which also clears the pairwise-EWMA history: the next pair
+// primes the smoother afresh instead of blending with the old value.
+func TestTrackerForgetAndReset(t *testing.T) {
+	l := heard(1e-9)
+	l.Observe(2e-9, 0.5)
+	l.Observe(2e-9, 0.5)
+	if rel, _ := l.Rel(); rel == 0 {
+		t.Fatal("smoothed Rel should remember the +3 dB pair")
+	}
+	l = Link{}
+	if _, ok := l.Rel(); ok {
+		t.Error("a forgotten link is still eligible")
+	}
+	l.Observe(2e-9, 0.5)
+	l.Observe(2e-9, 0.5)
+	if rel, ok := l.Rel(); !ok || rel != 0 {
+		t.Errorf("Rel after reset = %v, %v; want 0, true", rel, ok)
+	}
+}
+
 // The more mobile the neighborhood, the larger M: moving neighbors at
 // various rates must order aggregates correctly.
 func TestTrackerOrdersMobility(t *testing.T) {
@@ -195,6 +239,36 @@ func TestTrackerOrdersMobility(t *testing.T) {
 	still := agg(100, 100) // no drift
 	if !(still < slow && slow < fast) {
 		t.Errorf("ordering violated: still=%v slow=%v fast=%v", still, slow, fast)
+	}
+}
+
+// Aggregate history (paper Section 5) is a stats.EWMA the node applies to
+// successive M values.
+func TestTrackerEWMA(t *testing.T) {
+	smoother := stats.NewEWMA(0.5)
+	// First aggregate: one neighbor at +3.01 dB primes the smoother.
+	db := 10 * math.Log10(2)
+	first := smoother.Update(mobility(heard(1e-9, 2e-9)))
+	if !almostEqual(first, db*db, 1e-9) {
+		t.Fatalf("first smoothed aggregate = %v, want %v", first, db*db)
+	}
+	// The neighborhood goes quiet: raw M drops to 0, smoothed decays halfway.
+	if second := smoother.Update(mobility(heard(1e-9, 2e-9, 2e-9))); !almostEqual(second, first/2, 1e-9) {
+		t.Errorf("smoothed aggregate = %v, want %v", second, first/2)
+	}
+}
+
+func TestTrackerEWMAResetClearsSmoother(t *testing.T) {
+	smoother := stats.NewEWMA(0.5)
+	l := heard(1e-9, 4e-9)
+	if smoother.Update(mobility(l)) == 0 {
+		t.Fatal("aggregate should be nonzero before reset")
+	}
+	// A reset node forgets its links and its smoother together.
+	l = Link{}
+	smoother.Reset()
+	if got := smoother.Update(mobility(l)); got != 0 {
+		t.Errorf("post-reset aggregate = %v, want 0", got)
 	}
 }
 
