@@ -11,10 +11,15 @@ import (
 )
 
 // steadyStateAllocs builds the static 50-node gate scenario with the given
-// recorder installed and mutate (when set) applied to its config, so policy
-// variants reuse the same gate; converges it; and returns the allocations per
+// recorder installed, converges it, and returns the allocations per
 // steady-state beacon interval.
-func steadyStateAllocs(t *testing.T, rec obs.Recorder, mutate func(*Config)) float64 {
+func steadyStateAllocs(t *testing.T, rec obs.Recorder) float64 {
+	return steadyStateAllocsMut(t, rec, nil)
+}
+
+// steadyStateAllocsMut is steadyStateAllocs with a config mutator applied
+// before the network is built, so policy variants reuse the same gate.
+func steadyStateAllocsMut(t *testing.T, rec obs.Recorder, mutate func(*Config)) float64 {
 	t.Helper()
 	area := geom.Square(670)
 	cfg := Config{
@@ -59,7 +64,7 @@ func TestSteadyStateTickAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under the race detector")
 	}
-	if allocs := steadyStateAllocs(t, nil, nil); allocs > 0 {
+	if allocs := steadyStateAllocs(t, nil); allocs > 0 {
 		t.Errorf("steady-state beacon interval allocates %.1f objects, want 0", allocs)
 	}
 }
@@ -75,7 +80,7 @@ func TestSteadyStateTickAllocsWithPolicies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under the race detector")
 	}
-	allocs := steadyStateAllocs(t, nil, func(cfg *Config) {
+	allocs := steadyStateAllocsMut(t, nil, func(cfg *Config) {
 		cfg.Adaptive = &AdaptiveBI{Min: 0.5, Max: 4, MRef: 4, Hysteresis: 0.25}
 		ec := energy.Default()
 		ec.InitialJ = 1e6
@@ -94,7 +99,7 @@ func TestSteadyStateTickAllocsNopRecorder(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under the race detector")
 	}
-	if allocs := steadyStateAllocs(t, obs.Nop{}, nil); allocs > 0 {
+	if allocs := steadyStateAllocs(t, obs.Nop{}); allocs > 0 {
 		t.Errorf("noop-instrumented beacon interval allocates %.1f objects, want 0", allocs)
 	}
 }
@@ -107,7 +112,7 @@ func TestSteadyStateTickAllocsRegistry(t *testing.T) {
 		t.Skip("allocation counting is unreliable under the race detector")
 	}
 	reg := obs.NewRegistry()
-	if allocs := steadyStateAllocs(t, reg, nil); allocs > 0 {
+	if allocs := steadyStateAllocs(t, reg); allocs > 0 {
 		t.Errorf("registry-instrumented beacon interval allocates %.1f objects, want 0", allocs)
 	}
 	// Sanity: the hooks actually fired during convergence.

@@ -37,8 +37,8 @@ func (e *echoApp) OnUnicast(_ float64, _, at int32, payload Payload) {
 }
 
 // lineNet builds a static 3-node line: 0 -- 1 -- 2 with only adjacent pairs
-// in range, running the given apps and failures.
-func lineNet(t *testing.T, failures []NodeFailure, apps ...App) *Network {
+// in range, plus the given app.
+func lineNet(t *testing.T, app App) *Network {
 	t.Helper()
 	cfg := Config{
 		N:         3,
@@ -48,8 +48,7 @@ func lineNet(t *testing.T, failures []NodeFailure, apps ...App) *Network {
 		Algorithm: cluster.LCC,
 		Mobility:  &lineMobility{spacing: 100, y: 5},
 		TxRange:   120,
-		Apps:      apps,
-		Failures:  failures,
+		Apps:      []App{app},
 	}
 	net, err := New(cfg)
 	if err != nil {
@@ -70,7 +69,7 @@ func TestAppBroadcastReachesOnlyInRange(t *testing.T) {
 			}
 		})
 	}
-	net := lineNet(t, nil, app)
+	net := lineNet(t, app)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestAppUnicastRangeAndSelfChecks(t *testing.T) {
 			}
 		})
 	}
-	net := lineNet(t, nil, app)
+	net := lineNet(t, app)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestAppAPIIntrospection(t *testing.T) {
 			}
 		})
 	}
-	net := lineNet(t, nil, app)
+	net := lineNet(t, app)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,21 @@ func TestAppUnicastToDownNodeFails(t *testing.T) {
 			}
 		})
 	}
-	net := lineNet(t, []NodeFailure{{Node: 1, At: 5}}, app)
+	cfg := Config{
+		N:         3,
+		Area:      geom.NewRect(300, 10),
+		Duration:  30,
+		Seed:      1,
+		Algorithm: cluster.LCC,
+		Mobility:  &lineMobility{spacing: 100, y: 5},
+		TxRange:   120,
+		Apps:      []App{app},
+		Failures:  []NodeFailure{{Node: 1, At: 5}},
+	}
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +183,20 @@ func TestMultipleAppsAllReceive(t *testing.T) {
 	a.onStart = func(api AppAPI) {
 		_ = api.After(5, func(float64) { api.Broadcast(1, "ping") })
 	}
-	net := lineNet(t, nil, a, b)
+	cfg := Config{
+		N:         3,
+		Area:      geom.NewRect(300, 10),
+		Duration:  30,
+		Seed:      1,
+		Algorithm: cluster.LCC,
+		Mobility:  &lineMobility{spacing: 100, y: 5},
+		TxRange:   120,
+		Apps:      []App{a, b},
+	}
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}

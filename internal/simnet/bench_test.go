@@ -16,38 +16,45 @@ import (
 const benchDuration = 3600.0
 
 // benchNetwork builds the broadcast-delivery benchmark scenario: the paper's
-// Table 1 density, by default with the MAC collision model on, so every
-// beacon walks the full hot path (grid query, threshold test, airtime
-// deferral, neighbor-table update) and warms it past the listen-only first
-// round. rec (nil for none) is installed and mutate (when set) adjusts the
-// config before the network is built, so variants measure the same scenario.
-func benchNetwork(b *testing.B, collisions bool, rec obs.Recorder, mutate func(*Config)) func() *Network {
-	return func() *Network {
-		b.Helper()
-		area := geom.Square(670)
-		cfg := Config{
-			N:               50,
-			Area:            area,
-			Duration:        benchDuration, // the benchmark advances the clock itself
-			Seed:            1,
-			Algorithm:       cluster.MOBIC,
-			Mobility:        &mobility.RandomWaypoint{Area: area, MaxSpeed: 20},
-			TxRange:         250,
-			SampleInterval:  5,
-			HelloCollisions: collisions,
-			Obs:             rec,
-		}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		net, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm up: let tables, pools and scratch buffers reach steady state.
-		net.sched.RunUntil(30)
-		return net
+// Table 1 density with the MAC collision model on, so every beacon walks the
+// full hot path (grid query, threshold test, airtime deferral, neighbor-table
+// update) and warms it past the listen-only first round.
+func benchNetwork(b *testing.B, collisions bool) *Network {
+	return benchNetworkObs(b, collisions, nil)
+}
+
+// benchNetworkObs is benchNetwork with a recorder installed.
+func benchNetworkObs(b *testing.B, collisions bool, rec obs.Recorder) *Network {
+	return benchNetworkMut(b, collisions, rec, nil)
+}
+
+// benchNetworkMut is benchNetworkObs with a config mutator applied before the
+// network is built, so policy variants measure the same scenario.
+func benchNetworkMut(b *testing.B, collisions bool, rec obs.Recorder, mutate func(*Config)) *Network {
+	b.Helper()
+	area := geom.Square(670)
+	cfg := Config{
+		N:               50,
+		Area:            area,
+		Duration:        benchDuration, // the benchmark advances the clock itself
+		Seed:            1,
+		Algorithm:       cluster.MOBIC,
+		Mobility:        &mobility.RandomWaypoint{Area: area, MaxSpeed: 20},
+		TxRange:         250,
+		SampleInterval:  5,
+		HelloCollisions: collisions,
+		Obs:             rec,
 	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	net, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm up: let tables, pools and scratch buffers reach steady state.
+	net.sched.RunUntil(30)
+	return net
 }
 
 // BenchmarkBroadcastDelivery measures one steady-state beacon interval of the
@@ -56,14 +63,14 @@ func benchNetwork(b *testing.B, collisions bool, rec obs.Recorder, mutate func(*
 // experiment and every mobicd job spends its cycles in; allocs/op is the
 // gated number (see BENCH_engine.json).
 func BenchmarkBroadcastDelivery(b *testing.B) {
-	runBeaconIntervals(b, benchDuration, benchNetwork(b, true, nil, nil))
+	runBeaconIntervals(b, true)
 }
 
 // BenchmarkBroadcastDeliveryNoMAC is the same loop with the collision model
 // off: deliveries apply synchronously, isolating the grid-query plus
 // applyHello path from the airtime deferral machinery.
 func BenchmarkBroadcastDeliveryNoMAC(b *testing.B) {
-	runBeaconIntervals(b, benchDuration, benchNetwork(b, false, nil, nil))
+	runBeaconIntervals(b, false)
 }
 
 // BenchmarkAdaptiveBI is BenchmarkBroadcastDelivery with the clustering
@@ -74,12 +81,12 @@ func BenchmarkBroadcastDeliveryNoMAC(b *testing.B) {
 // 0 alongside the baseline, pinning that enabling the policies does not cost
 // the zero-alloc tick.
 func BenchmarkAdaptiveBI(b *testing.B) {
-	runBeaconIntervals(b, benchDuration, benchNetwork(b, true, nil, func(cfg *Config) {
+	runBeaconIntervalsMut(b, true, nil, func(cfg *Config) {
 		cfg.Adaptive = &AdaptiveBI{Min: 0.5, Max: 4, MRef: 4, Hysteresis: 0.25}
 		ec := energy.Default()
 		ec.InitialJ = 1e6
 		cfg.Energy = &ec
-	}))
+	})
 }
 
 // BenchmarkInstrumentedBroadcastDelivery is BenchmarkBroadcastDelivery with
@@ -88,7 +95,7 @@ func BenchmarkAdaptiveBI(b *testing.B) {
 // uninstrumented baseline in BENCH_engine.json: the delta is the true price
 // of observability, and allocs/op must stay 0.
 func BenchmarkInstrumentedBroadcastDelivery(b *testing.B) {
-	runBeaconIntervals(b, benchDuration, benchNetwork(b, true, obs.NewRegistry(), nil))
+	runBeaconIntervalsObs(b, true, obs.NewRegistry())
 }
 
 // megaDuration bounds the 10k-node benchmark network's trajectories: long
@@ -123,26 +130,54 @@ func megaNetwork(b *testing.B) *Network {
 }
 
 // BenchmarkMegaScenario measures one steady-state beacon interval of the
-// 10k-node preset, the engine's scale gate. Pinned in BENCH_engine.json.
+// 10k-node preset, the engine's scale gate, rebuilding (off-timer) when the
+// bounded trajectories run out. Pinned in BENCH_engine.json.
 func BenchmarkMegaScenario(b *testing.B) {
-	runBeaconIntervals(b, megaDuration, func() *Network { return megaNetwork(b) })
-}
-
-// runBeaconIntervals advances a network from build one beacon interval per
-// benchmark op, rebuilding it (off-timer) when its trajectories, bounded at
-// horizon seconds, run out.
-func runBeaconIntervals(b *testing.B, horizon float64, build func() *Network) {
-	b.Helper()
-	net := build()
+	net := megaNetwork(b)
 	interval := net.cfg.BroadcastInterval
 	var fired uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if net.sched.Now()+interval > horizon-1 {
+		if net.sched.Now()+interval > megaDuration-1 {
 			b.StopTimer()
 			fired += net.sched.Fired()
-			net = build()
+			net = megaNetwork(b)
+			b.StartTimer()
+		}
+		net.sched.RunUntil(net.sched.Now() + interval)
+	}
+	b.StopTimer()
+	if fired+net.sched.Fired() == 0 {
+		b.Fatal("no events fired")
+	}
+}
+
+// runBeaconIntervals advances the network one beacon interval per benchmark
+// op, rebuilding (off-timer) when the bounded trajectories run out.
+func runBeaconIntervals(b *testing.B, collisions bool) {
+	runBeaconIntervalsObs(b, collisions, nil)
+}
+
+// runBeaconIntervalsObs is runBeaconIntervals with a recorder installed.
+func runBeaconIntervalsObs(b *testing.B, collisions bool, rec obs.Recorder) {
+	runBeaconIntervalsMut(b, collisions, rec, nil)
+}
+
+// runBeaconIntervalsMut is runBeaconIntervalsObs with a config mutator, so
+// policy-enabled variants advance the same amount of simulated time per op.
+func runBeaconIntervalsMut(b *testing.B, collisions bool, rec obs.Recorder, mutate func(*Config)) {
+	b.Helper()
+	net := benchNetworkMut(b, collisions, rec, mutate)
+	interval := net.cfg.BroadcastInterval
+	var fired uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if net.sched.Now()+interval > benchDuration-1 {
+			b.StopTimer()
+			fired += net.sched.Fired()
+			net = benchNetworkMut(b, collisions, rec, mutate)
 			b.StartTimer()
 		}
 		net.sched.RunUntil(net.sched.Now() + interval)

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"mobic/internal/cluster"
+	"mobic/internal/core"
 	"mobic/internal/geom"
+	"mobic/internal/obs"
 	"mobic/internal/trace"
 )
 
@@ -70,6 +72,46 @@ func TestNeighborTableSortedExpire(t *testing.T) {
 	net.crash(rn, 10)
 	if len(rn.nbrs.ids) != 0 || len(rn.nbrs.recs) != 0 {
 		t.Errorf("after crash: ids %v, %d records; want an empty table", rn.nbrs.ids, len(rn.nbrs.recs))
+	}
+}
+
+func TestNeighborTableRejectsBadPower(t *testing.T) {
+	var timeouts []trace.Event
+	net, hear := isolatedNet(t, cluster.MOBIC, &timeouts)
+	reg := obs.NewRegistry()
+	net.obsRec = reg
+	rn := net.nodes[0]
+	bad := []float64{0, -1e-9, math.NaN(), math.Inf(1)}
+	for i, pr := range bad {
+		hear(3, float64(i), pr)
+	}
+	if len(rn.nbrs.ids) != 0 || len(rn.nbrs.recs) != 0 || reg.Counter(obs.NetNeighborAdds) != 0 {
+		t.Fatalf("after bad powers: ids %v, %d records, %d adds; want an empty table",
+			rn.nbrs.ids, len(rn.nbrs.recs), reg.Counter(obs.NetNeighborAdds))
+	}
+
+	// One valid power creates exactly one record with one reception.
+	hear(3, 5, 1e-9)
+	if !slices.Equal(rn.nbrs.ids, []int32{3}) || len(rn.nbrs.recs) != 1 || reg.Counter(obs.NetNeighborAdds) != 1 {
+		t.Fatalf("after a valid power: ids %v, %d records, %d adds; want one record for neighbor 3",
+			rn.nbrs.ids, len(rn.nbrs.recs), reg.Counter(obs.NetNeighborAdds))
+	}
+	if _, ok := rn.nbrs.recs[0].link.Rel(); ok {
+		t.Error("neighbor is eligible after one valid reception")
+	}
+
+	// Bad powers heard from a known neighbor leave its record untouched.
+	before := rn.nbrs.recs[0]
+	for i, pr := range bad {
+		hear(3, float64(6+i), pr)
+	}
+	if rn.nbrs.recs[0] != before {
+		t.Errorf("bad powers changed the record: %+v, want %+v", rn.nbrs.recs[0], before)
+	}
+	hear(3, 10, 4e-9)
+	want, _ := core.RelativeMobility(1e-9, 4e-9)
+	if got, ok := rn.nbrs.recs[0].link.Rel(); !ok || got != want {
+		t.Errorf("Rel after two valid powers = %v, %v; want %v, true", got, ok, want)
 	}
 }
 
