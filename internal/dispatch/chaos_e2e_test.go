@@ -145,7 +145,7 @@ func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 
 	// The resume came from the replica, not from the coordinator (which had
 	// nothing to ship).
-	if got := coord.shippedCheckpoints(); got != 0 {
+	if got := reg.Counter(obs.DispatchCheckpointsShipped); got != 0 {
 		t.Errorf("coordinator shipped %d checkpoints, want 0 (polls were blackholed)", got)
 	}
 	if got := reg.Counter(obs.DispatchFailovers); got != 1 {
@@ -180,7 +180,7 @@ func TestChaosNoReplicationLosesProgress(t *testing.T) {
 	}
 	workers := []*worker{newWorker(t), newWorker(t)}
 	inj := chaos.New(chaos.MustParse("seed 42\nhttp GET */checkpoints error\n"))
-	coord, srv, _ := newClusterCfg(t, workers, func(cfg *Config) {
+	coord, srv, reg := newClusterCfg(t, workers, func(cfg *Config) {
 		cfg.Client = &http.Client{Timeout: 5 * time.Second, Transport: inj.RoundTripper(nil)}
 	})
 
@@ -236,7 +236,7 @@ func TestChaosNoReplicationLosesProgress(t *testing.T) {
 	}
 	// Progress was demonstrably lost: nothing shipped, no replica, so the
 	// survivor had to simulate all four cells over again.
-	if got := coord.shippedCheckpoints(); got != 0 {
+	if got := reg.Counter(obs.DispatchCheckpointsShipped); got != 0 {
 		t.Errorf("coordinator shipped %d checkpoints, want 0 (polls were blackholed)", got)
 	}
 	if got := len(survivor.col.sums()); got != 4 {

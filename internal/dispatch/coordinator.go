@@ -268,15 +268,6 @@ func (c *Coordinator) TrackedJobs() int {
 	return len(c.jobs)
 }
 
-// shippedCheckpoints reports the total checkpoint records shipped across
-// all failovers so far (test hook; /metrics carries the same counter).
-func (c *Coordinator) shippedCheckpoints() int64 {
-	if r, ok := c.cfg.Obs.(*obs.Registry); ok {
-		return r.Counter(obs.DispatchCheckpointsShipped)
-	}
-	return 0
-}
-
 func (c *Coordinator) isDown(peer string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -315,7 +315,7 @@ func TestFailoverResumesAndCaches(t *testing.T) {
 	if got := reg.Counter(obs.DispatchFailovers); got != 1 {
 		t.Errorf("failovers = %d, want 1", got)
 	}
-	if got := coord.shippedCheckpoints(); got < 1 {
+	if got := reg.Counter(obs.DispatchCheckpointsShipped); got < 1 {
 		t.Errorf("checkpoints shipped = %d, want >= 1", got)
 	}
 

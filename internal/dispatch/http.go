@@ -706,24 +706,20 @@ func (p *proxy) readyz(w http.ResponseWriter, r *http.Request) {
 // liveness gauges.
 func (p *proxy) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if wt, ok := p.c.cfg.Obs.(io.WriterTo); ok {
-		_, _ = wt.WriteTo(w)
-	}
-	fmt.Fprintf(w, "# HELP mobic_dispatch_jobs_tracked Jobs currently tracked by the coordinator.\n")
-	fmt.Fprintf(w, "# TYPE mobic_dispatch_jobs_tracked gauge\n")
-	fmt.Fprintf(w, "mobic_dispatch_jobs_tracked %d\n", p.c.TrackedJobs())
-	fmt.Fprintf(w, "# HELP mobic_dispatch_peer_up Per-worker health (1 = passing /readyz).\n")
-	fmt.Fprintf(w, "# TYPE mobic_dispatch_peer_up gauge\n")
+	e := obs.NewEncoder(w)
+	e.Recorder(p.c.cfg.Obs)
+	e.Family("mobic_dispatch_jobs_tracked", "Jobs currently tracked by the coordinator.", obs.Gauge)
+	e.Int("mobic_dispatch_jobs_tracked", int64(p.c.TrackedJobs()))
+	e.Family("mobic_dispatch_peer_up", "Per-worker health (1 = passing /readyz).", obs.Gauge)
 	for _, peer := range p.c.ring.Peers() {
-		up := 1
+		up := int64(1)
 		if p.c.isDown(peer) {
 			up = 0
 		}
-		fmt.Fprintf(w, "mobic_dispatch_peer_up{peer=%q} %d\n", peer, up)
+		e.Int("mobic_dispatch_peer_up", up, "peer", peer)
 	}
-	fmt.Fprintf(w, "# HELP mobic_dispatch_breaker_state Per-peer circuit breaker (0 closed, 1 open, 2 half-open).\n")
-	fmt.Fprintf(w, "# TYPE mobic_dispatch_breaker_state gauge\n")
+	e.Family("mobic_dispatch_breaker_state", "Per-peer circuit breaker (0 closed, 1 open, 2 half-open).", obs.Gauge)
 	for _, peer := range p.c.ring.Peers() {
-		fmt.Fprintf(w, "mobic_dispatch_breaker_state{peer=%q} %d\n", peer, p.c.breaker(peer).State())
+		e.Int("mobic_dispatch_breaker_state", int64(p.c.breaker(peer).State()), "peer", peer)
 	}
 }

@@ -180,9 +180,9 @@ func TestDigestInvariantGridVsBruteForce(t *testing.T) {
 	}
 }
 
-// TestObserverSeesCompleteStream cross-checks the observer hook against the
-// trace ring buffer: with a ring large enough to never wrap, both must see
-// exactly the same events.
+// TestObserverSeesCompleteStream cross-checks a trace ring and a tap chained
+// on the one observer hook: with a ring large enough to never wrap, both
+// must see exactly the same events.
 func TestObserverSeesCompleteStream(t *testing.T) {
 	cfg, err := Workloads()[0].Config(Algorithms()[1], 3)
 	if err != nil {
@@ -190,9 +190,11 @@ func TestObserverSeesCompleteStream(t *testing.T) {
 	}
 	cfg.Duration = 60 // enough beacons to be meaningful, cheap enough to buffer
 	log := trace.New(1 << 20)
-	cfg.Trace = log
 	var observed []trace.Event
-	cfg.Observer = func(ev trace.Event) { observed = append(observed, ev) }
+	cfg.Observer = func(ev trace.Event) {
+		log.Record(ev)
+		observed = append(observed, ev)
+	}
 	net, err := simnet.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -67,9 +68,7 @@ func TestRegistryHistogram(t *testing.T) {
 	r.Observe(SimEventsFired, 1)
 
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
+	NewEncoder(&b).Recorder(r)
 	out := b.String()
 	for _, want := range []string{
 		`mobic_experiment_cell_seconds_bucket{le="+Inf"} 4`,
@@ -83,14 +82,12 @@ func TestRegistryHistogram(t *testing.T) {
 }
 
 // TestWriteToExposesEveryFamily checks the Prometheus contract the /metrics
-// merge depends on: every defined metric appears with HELP and TYPE lines
+// handlers depend on: every defined metric appears with HELP and TYPE lines
 // and a non-empty unique name.
 func TestWriteToExposesEveryFamily(t *testing.T) {
 	r := NewRegistry()
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
+	NewEncoder(&b).Recorder(r)
 	out := b.String()
 	seen := map[string]bool{}
 	for m := Metric(0); m < NumMetrics; m++ {
@@ -136,4 +133,48 @@ func TestSpanSamplingAndRing(t *testing.T) {
 	if SpanKind(200).String() != "unknown" {
 		t.Error("out-of-range SpanKind should stringify as unknown")
 	}
+}
+
+// TestEncoderHistAndLabels pins the shared encoder's sample syntax: le
+// buckets are cumulative with v <= bound (below-range samples land in the
+// first bucket, above-range ones only in +Inf), label values are quoted,
+// and nothing is written after the first write error.
+func TestEncoderHistAndLabels(t *testing.T) {
+	h := NewHist([]float64{1, 2})
+	for _, v := range []float64{-1, 0.5, 1, 1.5, 2, 3} {
+		h.Observe(v)
+	}
+	var b strings.Builder
+	e := NewEncoder(&b)
+	e.Hist("x_seconds", "X.", h)
+	e.Int("y", 7, "peer", `a"b`)
+	e.Float("z", 0.25, "tenant", "t", "zone", "q")
+	want := `# HELP x_seconds X.
+# TYPE x_seconds histogram
+x_seconds_bucket{le="1"} 3
+x_seconds_bucket{le="2"} 5
+x_seconds_bucket{le="+Inf"} 6
+x_seconds_sum 7
+x_seconds_count 6
+y{peer="a\"b"} 7
+z{tenant="t",zone="q"} 0.25
+`
+	if got := b.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+
+	var fw failWriter
+	fail := NewEncoder(&fw)
+	fail.Family("a", "A.", Counter)
+	fail.Int("a", 1)
+	if fw.calls != 1 {
+		t.Errorf("%d writes after a failed write, want none", fw.calls-1)
+	}
+}
+
+type failWriter struct{ calls int }
+
+func (f *failWriter) Write([]byte) (int, error) {
+	f.calls++
+	return 0, errors.New("closed")
 }

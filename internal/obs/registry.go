@@ -1,19 +1,14 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sync/atomic"
 )
 
-// histogram bucket bounds for Histogram-kind metrics: exponential coverage
-// from 10 ms to ~5 min, which spans a trimmed smoke cell through a
-// full-fidelity 900 s replication.
-var histBounds = [numHistBounds]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
-
-// numHistBounds is the finite bucket count (one +Inf bucket follows).
-const numHistBounds = 14
+// histBounds are the bucket bounds of the Histogram-kind metrics:
+// exponential coverage from 10 ms to ~5 min, which spans a trimmed smoke
+// cell through a full-fidelity 900 s replication.
+var histBounds = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
 // spanRingSize bounds the sampled-span window. Power of two so the write
 // cursor wraps with a mask.
@@ -36,35 +31,6 @@ type SpanRecord struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// hist is a fixed-bucket concurrent histogram. All state is preallocated at
-// registry construction, so Observe is a binary search plus two atomics.
-type hist struct {
-	counts [numHistBounds + 1]atomic.Int64 // one overflow bucket
-	total  atomic.Int64
-	sumBit atomic.Uint64 // float64 bits of the running sum
-}
-
-func (h *hist) observe(v float64) {
-	lo, hi := 0, len(histBounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= histBounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	h.counts[lo].Add(1)
-	h.total.Add(1)
-	for {
-		old := h.sumBit.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBit.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Registry is the aggregating Recorder behind mobicd's /metrics: dense
 // atomic arrays for counters and gauges, preallocated fixed-bucket
 // histograms, and a sampled span ring. Every record path is lock- and
@@ -73,7 +39,7 @@ func (h *hist) observe(v float64) {
 type Registry struct {
 	counters [NumMetrics]atomic.Int64
 	gauges   [NumMetrics]atomic.Uint64 // float64 bits
-	hists    [NumMetrics]*hist
+	hists    [NumMetrics]*Hist
 
 	spanSeq  [NumSpanKinds]atomic.Uint64
 	spanCur  atomic.Uint64
@@ -90,7 +56,7 @@ func NewRegistry() *Registry {
 	r := &Registry{}
 	for m := Metric(0); m < NumMetrics; m++ {
 		if defs[m].Kind == Histogram {
-			r.hists[m] = &hist{}
+			r.hists[m] = NewHist(histBounds)
 		}
 	}
 	return r
@@ -113,7 +79,7 @@ func (r *Registry) Set(m Metric, v float64) {
 // metrics.
 func (r *Registry) Observe(m Metric, v float64) {
 	if h := r.hists[m]; h != nil {
-		h.observe(v)
+		h.Observe(v)
 	}
 }
 
@@ -167,53 +133,4 @@ func (r *Registry) Spans() []SpanRecord {
 		})
 	}
 	return out
-}
-
-// WriteTo renders every metric family in Prometheus text exposition format
-// with HELP and TYPE lines. It implements io.WriterTo so the service's
-// /metrics handler can append the engine families after its own.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for m := Metric(0); m < NumMetrics; m++ {
-		d := defs[m]
-		var n int
-		var err error
-		switch d.Kind {
-		case Counter:
-			n, err = fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-				d.Name, d.Help, d.Name, d.Name, r.counters[m].Load())
-		case Gauge:
-			n, err = fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n",
-				d.Name, d.Help, d.Name, d.Name, r.Gauge(m))
-		case Histogram:
-			n, err = r.writeHist(w, d, r.hists[m])
-		}
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// writeHist renders one histogram family with cumulative buckets.
-func (r *Registry) writeHist(w io.Writer, d Def, h *hist) (int, error) {
-	total, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", d.Name, d.Help, d.Name)
-	if err != nil {
-		return total, err
-	}
-	var cum int64
-	for i, hi := range histBounds {
-		cum += h.counts[i].Load()
-		n, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", d.Name, hi, cum)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	count := h.total.Load()
-	sum := math.Float64frombits(h.sumBit.Load())
-	n, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
-		d.Name, count, d.Name, sum, d.Name, count)
-	return total + n, err
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -37,7 +35,7 @@ func (c *TenantCounters) Weight() float64 { return math.Float64frombits(c.weight
 
 // TenantSet is the per-tenant labeled metric family store: lazily
 // registered counters per tenant name, rendered as Prometheus families
-// with a tenant label by WriteTo. Unlike the dense-ID Recorder (built for
+// with a tenant label by Encode. Unlike the dense-ID Recorder (built for
 // the allocation-free engine hot path), tenants are strings — but they are
 // touched once per job, not once per event, so a lock + map lookup is
 // fine.
@@ -91,59 +89,58 @@ func (s *TenantSet) Each(fn func(name string, c *TenantCounters)) {
 	}
 }
 
-// WriteTo renders the per-tenant families in Prometheus text format:
-// admitted/shed/done counters, queued/running gauges, the configured
-// weight, and each tenant's share of all completed jobs (the fairness
-// observable the loadgen soak asserts on).
-func (s *TenantSet) WriteTo(w io.Writer) (int64, error) {
+// Encode writes the per-tenant families, one sample per tenant labeled
+// tenant="name": admitted/shed/done counters, queued/running gauges, the
+// configured weight, and each tenant's share of all completed jobs (the
+// fairness observable the loadgen soak asserts on). An empty set writes
+// nothing.
+func (s *TenantSet) Encode(e *Encoder) {
 	names := s.names()
 	if len(names) == 0 {
-		return 0, nil
+		return
 	}
-	type col struct {
-		name, help, kind string
-		value            func(c *TenantCounters) string
-	}
+	cs := make([]*TenantCounters, len(names))
 	var totalDone int64
-	s.Each(func(_ string, c *TenantCounters) { totalDone += c.Done.Load() })
-	cols := []col{
-		{"mobicd_tenant_jobs_admitted_total", "Jobs admitted per tenant.", "counter",
-			func(c *TenantCounters) string { return fmt.Sprintf("%d", c.Admitted.Load()) }},
-		{"mobicd_tenant_jobs_shed_total", "Jobs shed with a per-tenant 429 (quota, rate or capacity).", "counter",
-			func(c *TenantCounters) string { return fmt.Sprintf("%d", c.Shed.Load()) }},
-		{"mobicd_tenant_jobs_done_total", "Jobs finished per tenant (any terminal state).", "counter",
-			func(c *TenantCounters) string { return fmt.Sprintf("%d", c.Done.Load()) }},
-		{"mobicd_tenant_jobs_queued", "Jobs currently queued per tenant.", "gauge",
-			func(c *TenantCounters) string { return fmt.Sprintf("%d", c.Queued.Load()) }},
-		{"mobicd_tenant_jobs_running", "Jobs currently executing per tenant.", "gauge",
-			func(c *TenantCounters) string { return fmt.Sprintf("%d", c.Running.Load()) }},
-		{"mobicd_tenant_weight", "Configured fair-share weight per tenant.", "gauge",
-			func(c *TenantCounters) string { return fmt.Sprintf("%g", c.Weight()) }},
-		{"mobicd_tenant_done_share", "Tenant's fraction of all completed jobs.", "gauge",
-			func(c *TenantCounters) string {
-				if totalDone == 0 {
-					return "0"
-				}
-				return fmt.Sprintf("%g", float64(c.Done.Load())/float64(totalDone))
-			}},
+	for i, n := range names {
+		cs[i] = s.Tenant(n)
+		totalDone += cs[i].Done.Load()
 	}
-	var total int64
-	for _, cl := range cols {
-		n, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", cl.name, cl.help, cl.name, cl.kind)
-		total += int64(n)
-		if err != nil {
-			return total, err
+	for _, f := range []struct {
+		name, help string
+		kind       Kind
+		value      func(c *TenantCounters) *atomic.Int64
+	}{
+		{"mobicd_tenant_jobs_admitted_total", "Jobs admitted per tenant.", Counter,
+			func(c *TenantCounters) *atomic.Int64 { return &c.Admitted }},
+		{"mobicd_tenant_jobs_shed_total", "Jobs shed with a per-tenant 429 (quota, rate or capacity).", Counter,
+			func(c *TenantCounters) *atomic.Int64 { return &c.Shed }},
+		{"mobicd_tenant_jobs_done_total", "Jobs finished per tenant (any terminal state).", Counter,
+			func(c *TenantCounters) *atomic.Int64 { return &c.Done }},
+		{"mobicd_tenant_jobs_queued", "Jobs currently queued per tenant.", Gauge,
+			func(c *TenantCounters) *atomic.Int64 { return &c.Queued }},
+		{"mobicd_tenant_jobs_running", "Jobs currently executing per tenant.", Gauge,
+			func(c *TenantCounters) *atomic.Int64 { return &c.Running }},
+	} {
+		e.Family(f.name, f.help, f.kind)
+		for i, c := range cs {
+			e.Int(f.name, f.value(c).Load(), "tenant", names[i])
 		}
-		for _, name := range names {
-			s.mu.RLock()
-			c := s.m[name]
-			s.mu.RUnlock()
-			n, err := fmt.Fprintf(w, "%s{tenant=%q} %s\n", cl.name, name, cl.value(c))
-			total += int64(n)
-			if err != nil {
-				return total, err
+	}
+	for _, f := range []struct {
+		name, help string
+		value      func(c *TenantCounters) float64
+	}{
+		{"mobicd_tenant_weight", "Configured fair-share weight per tenant.", (*TenantCounters).Weight},
+		{"mobicd_tenant_done_share", "Tenant's fraction of all completed jobs.", func(c *TenantCounters) float64 {
+			if totalDone == 0 {
+				return 0
 			}
+			return float64(c.Done.Load()) / float64(totalDone)
+		}},
+	} {
+		e.Family(f.name, f.help, Gauge)
+		for i, c := range cs {
+			e.Float(f.name, f.value(c), "tenant", names[i])
 		}
 	}
-	return total, nil
 }

@@ -11,8 +11,9 @@ func TestTenantSetExposition(t *testing.T) {
 	// Empty set renders nothing — a single-tenant daemon's /metrics is
 	// unchanged until the first tenant is touched.
 	var empty strings.Builder
-	if n, err := s.WriteTo(&empty); n != 0 || err != nil || empty.Len() != 0 {
-		t.Fatalf("empty set wrote %d bytes (err %v): %q", n, err, empty.String())
+	s.Encode(NewEncoder(&empty))
+	if empty.Len() != 0 {
+		t.Fatalf("empty set wrote %q", empty.String())
 	}
 
 	a := s.Tenant("alpha")
@@ -32,9 +33,7 @@ func TestTenantSetExposition(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	s.Encode(NewEncoder(&buf))
 	out := buf.String()
 	for _, w := range []string{
 		`mobicd_tenant_jobs_admitted_total{tenant="alpha"} 5`,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mobic/internal/experiment"
+	"mobic/internal/obs"
 )
 
 // NewHandler exposes the service as a JSON HTTP API:
@@ -448,15 +449,11 @@ func (a *api) readyz(w http.ResponseWriter, r *http.Request) {
 
 func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := a.svc.Metrics().WriteTo(w, a.svc.QueueDepth(), a.svc.StoredJobs()); err != nil {
-		return
-	}
+	e := obs.NewEncoder(w)
+	a.svc.Metrics().Encode(e, a.svc.QueueDepth(), a.svc.StoredJobs())
 	// Engine/experiment telemetry families (mobic_sim_*, mobic_net_*,
-	// mobic_experiment_*) follow the service's own when a Registry is
-	// installed; obs.Nop has no exposition and is skipped.
-	if wt, ok := a.svc.Observability().(io.WriterTo); ok {
-		_, _ = wt.WriteTo(w)
-	}
+	// mobic_experiment_*) follow when a Registry is installed.
+	e.Recorder(a.svc.Observability())
 	// Per-tenant admission/fairness families (mobicd_tenant_*).
-	_, _ = a.svc.TenantMetrics().WriteTo(w)
+	a.svc.TenantMetrics().Encode(e)
 }

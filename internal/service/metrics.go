@@ -1,29 +1,26 @@
 package service
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
-	"mobic/internal/stats"
+	"mobic/internal/obs"
 )
 
-// latency histogram shape: 24 half-second buckets over [0, 12) s plus
-// under/overflow. Most trimmed jobs land well inside; full-fidelity 900 s
-// sweeps show up in the overflow (+Inf) bucket.
-const (
-	latencyLo   = 0.0
-	latencyHi   = 12.0
-	latencyBins = 24
-)
+// latencyBounds are the job-latency histogram's bucket bounds: 24
+// half-second buckets up to 12 s. Most trimmed jobs land well inside;
+// full-fidelity 900 s sweeps show up in the +Inf bucket.
+var latencyBounds = []float64{
+	0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5, 5.5, 6,
+	6.5, 7, 7.5, 8, 8.5, 9, 9.5, 10, 10.5, 11, 11.5, 12,
+}
 
-// Metrics aggregates service observability counters, exposed by
-// GET /metrics in Prometheus text format.
 // ewmaAlpha weighs the newest job duration in the moving average behind
 // the 429 Retry-After hint; ~0.2 remembers the last handful of jobs.
 const ewmaAlpha = 0.2
 
+// Metrics aggregates service observability counters, exposed by
+// GET /metrics in Prometheus text format.
 type Metrics struct {
 	submitted atomic.Uint64
 	rejected  atomic.Uint64
@@ -34,26 +31,23 @@ type Metrics struct {
 	poisoned  atomic.Uint64
 	inFlight  atomic.Int64
 
+	latency *obs.Hist
+
 	mu      sync.Mutex
-	latency *stats.Histogram
 	ewma    float64 // exponentially weighted mean job duration, seconds
 	ewmaSet bool
 }
 
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	h, err := stats.NewHistogram(latencyLo, latencyHi, latencyBins)
-	if err != nil {
-		panic("service: latency histogram: " + err.Error()) // static bounds
-	}
-	return &Metrics{latency: h}
+	return &Metrics{latency: obs.NewHist(latencyBounds)}
 }
 
 // ObserveLatency records one finished job's wall-clock seconds.
 func (m *Metrics) ObserveLatency(seconds float64) {
+	m.latency.Observe(seconds)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.latency.Add(seconds)
 	if !m.ewmaSet {
 		m.ewma, m.ewmaSet = seconds, true
 	} else {
@@ -69,61 +63,27 @@ func (m *Metrics) LatencyEWMA() float64 {
 	return m.ewma
 }
 
-// WriteTo renders the metrics in Prometheus text exposition format.
-// queueDepth and stored are point-in-time gauges supplied by the service.
-func (m *Metrics) WriteTo(w io.Writer, queueDepth, stored int) error {
-	counters := []struct {
+// Encode writes the service families. queueDepth and stored are
+// point-in-time gauges supplied by the service.
+func (m *Metrics) Encode(e *obs.Encoder, queueDepth, stored int) {
+	for _, f := range []struct {
 		name, help string
-		value      uint64
-	}{
-		{"mobicd_jobs_submitted_total", "Jobs accepted into the queue.", m.submitted.Load()},
-		{"mobicd_jobs_rejected_total", "Submissions shed with 429 because the queue was full.", m.rejected.Load()},
-		{"mobicd_jobs_completed_total", "Jobs finished successfully.", m.completed.Load()},
-		{"mobicd_jobs_failed_total", "Jobs finished with an error (timeouts included).", m.failed.Load()},
-		{"mobicd_jobs_canceled_total", "Jobs canceled by callers or shutdown.", m.canceled.Load()},
-		{"mobicd_jobs_retried_total", "Failed attempts re-queued under the retry policy.", m.retried.Load()},
-		{"mobicd_jobs_poisoned_total", "Jobs quarantined after exhausting Retry.MaxAttempts.", m.poisoned.Load()},
-	}
-	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			c.name, c.help, c.name, c.name, c.value); err != nil {
-			return err
-		}
-	}
-	gauges := []struct {
-		name, help string
+		kind       obs.Kind
 		value      int64
 	}{
-		{"mobicd_queue_depth", "Jobs waiting in the FIFO queue.", int64(queueDepth)},
-		{"mobicd_jobs_in_flight", "Jobs currently executing on workers.", m.inFlight.Load()},
-		{"mobicd_jobs_stored", "Jobs held in the store (all states, pre-TTL).", int64(stored)},
+		{"mobicd_jobs_submitted_total", "Jobs accepted into the queue.", obs.Counter, int64(m.submitted.Load())},
+		{"mobicd_jobs_rejected_total", "Submissions shed with 429 because the queue was full.", obs.Counter, int64(m.rejected.Load())},
+		{"mobicd_jobs_completed_total", "Jobs finished successfully.", obs.Counter, int64(m.completed.Load())},
+		{"mobicd_jobs_failed_total", "Jobs finished with an error (timeouts included).", obs.Counter, int64(m.failed.Load())},
+		{"mobicd_jobs_canceled_total", "Jobs canceled by callers or shutdown.", obs.Counter, int64(m.canceled.Load())},
+		{"mobicd_jobs_retried_total", "Failed attempts re-queued under the retry policy.", obs.Counter, int64(m.retried.Load())},
+		{"mobicd_jobs_poisoned_total", "Jobs quarantined after exhausting Retry.MaxAttempts.", obs.Counter, int64(m.poisoned.Load())},
+		{"mobicd_queue_depth", "Jobs waiting in the FIFO queue.", obs.Gauge, int64(queueDepth)},
+		{"mobicd_jobs_in_flight", "Jobs currently executing on workers.", obs.Gauge, m.inFlight.Load()},
+		{"mobicd_jobs_stored", "Jobs held in the store (all states, pre-TTL).", obs.Gauge, int64(stored)},
+	} {
+		e.Family(f.name, f.help, f.kind)
+		e.Int(f.name, f.value)
 	}
-	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n",
-			g.name, g.help, g.name, g.name, g.value); err != nil {
-			return err
-		}
-	}
-	return m.writeLatency(w)
-}
-
-// writeLatency renders the per-job latency histogram with cumulative
-// buckets, Prometheus-style.
-func (m *Metrics) writeLatency(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	const name = "mobicd_job_latency_seconds"
-	if _, err := fmt.Fprintf(w, "# HELP %s Wall-clock latency of finished jobs.\n# TYPE %s histogram\n", name, name); err != nil {
-		return err
-	}
-	cum := m.latency.Underflow()
-	for i := 0; i < m.latency.Bins(); i++ {
-		cum += m.latency.Count(i)
-		_, hi := m.latency.BinBounds(i)
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, fmt.Sprintf("%g", hi), cum); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_count %d\n", name, m.latency.Total(), name, m.latency.Total())
-	return err
+	e.Hist("mobicd_job_latency_seconds", "Wall-clock latency of finished jobs.", m.latency)
 }

@@ -452,9 +452,8 @@ func (s *Service) journalApply(rec record, apply func()) {
 func (s *Service) Metrics() *Metrics { return s.metrics }
 
 // Observability exposes the engine/sweep telemetry recorder the service
-// threads into every job (obs.Nop unless Config.Obs installed one). The
-// HTTP layer type-asserts it to io.WriterTo to merge the engine families
-// into /metrics.
+// threads into every job (obs.Nop unless Config.Obs installed one).
+// /metrics renders its families when it is an obs.Registry.
 func (s *Service) Observability() obs.Recorder { return s.cfg.Obs }
 
 // QueueDepth returns the number of jobs waiting for a worker, summed

@@ -8,6 +8,7 @@ import (
 	"mobic/internal/geom"
 	"mobic/internal/mobility"
 	"mobic/internal/obs"
+	"mobic/internal/trace"
 )
 
 // steadyStateAllocs builds the static 50-node gate scenario with the given
@@ -118,5 +119,24 @@ func TestSteadyStateTickAllocsRegistry(t *testing.T) {
 	// Sanity: the hooks actually fired during convergence.
 	if reg.Counter(obs.SimEventsFired) == 0 || reg.Counter(obs.NetBeaconsSent) == 0 {
 		t.Error("registry recorded no engine activity; hooks are disconnected")
+	}
+}
+
+// TestSteadyStateTickAllocsTraceRing installs a trace.Log ring as the
+// observer. The ring is far smaller than one interval's events (about 2,500
+// for 50 nodes: a beacon and ~49 deliveries each), so every measured
+// interval overwrites its oldest slots; recording and wrapping must both
+// stay allocation-free.
+func TestSteadyStateTickAllocsTraceRing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under the race detector")
+	}
+	log := trace.New(1024)
+	allocs := steadyStateAllocsMut(t, nil, func(cfg *Config) { cfg.Observer = log.Record })
+	if allocs > 0 {
+		t.Errorf("trace-ring beacon interval allocates %.1f objects, want 0", allocs)
+	}
+	if log.Len() != 1024 || log.Dropped() == 0 {
+		t.Errorf("ring holds %d events with %d dropped; want it full and wrapping", log.Len(), log.Dropped())
 	}
 }

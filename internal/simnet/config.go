@@ -154,14 +154,13 @@ type Config struct {
 	SampleInterval float64
 	// Loss optionally injects MAC-level packet loss. Defaults to NoLoss.
 	Loss channel.LossModel
-	// Trace optionally records simulator events.
-	Trace *trace.Log
 	// Observer, when set, receives every simulator event synchronously as
-	// it is recorded. Unlike Trace it is unbounded — nothing is ever
-	// dropped — which is what the correctness harness needs to fold the
-	// full event stream into a trace digest (see internal/harness). The
-	// callback runs on the simulation goroutine and must not retain the
-	// event beyond the call.
+	// it is emitted; it is the engine's only event output. A bounded
+	// trace.Log ring attaches as Observer = log.Record, and the
+	// correctness harness folds the full stream into a trace digest (see
+	// internal/harness); callers wanting both chain them. The callback
+	// runs on the simulation goroutine and must not retain the event
+	// beyond the call.
 	Observer func(trace.Event)
 	// Obs receives engine telemetry (beacons, receptions, collisions,
 	// neighbor churn, clusterhead changes, kernel event counts, sim-rate).

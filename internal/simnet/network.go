@@ -181,12 +181,9 @@ type Network struct {
 	topo      *graph.Adjacency
 }
 
-// emit records ev in the trace ring buffer and feeds the observer hook.
-// Every simulator event flows through here, so the pair stays consistent:
-// the ring holds the recent window for inspection, the observer sees the
-// complete stream for digesting.
+// emit hands ev to the observer hook. Every simulator event flows through
+// here, so an observer sees the complete stream.
 func (n *Network) emit(ev trace.Event) {
-	n.cfg.Trace.Record(ev)
 	if n.cfg.Observer != nil {
 		n.cfg.Observer(ev)
 	}

@@ -320,16 +320,24 @@ func TestBruteForceMatchesGrid(t *testing.T) {
 func TestTraceRecordsEvents(t *testing.T) {
 	cfg := waypointConfig(cluster.MOBIC, 150, 5)
 	cfg.Duration = 60
-	cfg.Trace = trace.New(100000)
+	log := trace.New(100000)
+	tapped := 0
+	cfg.Observer = func(ev trace.Event) {
+		log.Record(ev)
+		tapped++
+	}
 	res := mustRun(t, cfg)
-	if got := cfg.Trace.CountKind(trace.KindBroadcast); got == 0 {
+	if got := log.CountKind(trace.KindBroadcast); got == 0 {
 		t.Error("no broadcasts traced")
 	}
-	if got := cfg.Trace.CountKind(trace.KindDeliver); got == 0 {
+	if got := log.CountKind(trace.KindDeliver); got == 0 {
 		t.Error("no deliveries traced")
 	}
-	if res.Metrics.CHChanges > 0 && cfg.Trace.CountKind(trace.KindRoleChange) == 0 {
+	if res.Metrics.CHChanges > 0 && log.CountKind(trace.KindRoleChange) == 0 {
 		t.Error("role changes occurred but were not traced")
+	}
+	if got := uint64(log.Len()) + log.Dropped(); got != uint64(tapped) {
+		t.Errorf("ring took %d events, the chained tap saw %d", got, tapped)
 	}
 }
 

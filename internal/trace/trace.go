@@ -79,7 +79,6 @@ type Log struct {
 	next    int
 	wrapped bool
 	dropped uint64
-	filter  func(Event) bool
 }
 
 // New returns a log holding the most recent `capacity` events. A
@@ -91,10 +90,6 @@ func New(capacity int) *Log {
 	return &Log{buf: make([]Event, 0, capacity)}
 }
 
-// SetFilter installs a predicate; events failing it are not recorded.
-// A nil filter records everything.
-func (l *Log) SetFilter(f func(Event) bool) { l.filter = f }
-
 // Enabled reports whether the log records anything.
 func (l *Log) Enabled() bool { return l != nil && cap(l.buf) > 0 }
 
@@ -102,9 +97,6 @@ func (l *Log) Enabled() bool { return l != nil && cap(l.buf) > 0 }
 // nil or disabled log.
 func (l *Log) Record(ev Event) {
 	if l == nil || cap(l.buf) == 0 {
-		return
-	}
-	if l.filter != nil && !l.filter(ev) {
 		return
 	}
 	if len(l.buf) < cap(l.buf) {

@@ -68,17 +68,6 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	l := New(10)
-	l.SetFilter(func(ev Event) bool { return ev.Kind == KindRoleChange })
-	l.Record(Event{Kind: KindBroadcast})
-	l.Record(Event{Kind: KindRoleChange})
-	l.Record(Event{Kind: KindDeliver})
-	if l.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (filtered)", l.Len())
-	}
-}
-
 func TestCountKind(t *testing.T) {
 	l := New(10)
 	l.Record(Event{Kind: KindDeliver})

@@ -222,7 +222,7 @@ func run(s Scenario, wantNodes bool) (*Result, []NodeInfo, error) {
 			capacity = 200000
 		}
 		tlog = trace.New(capacity)
-		cfg.Trace = tlog
+		cfg.Observer = tlog.Record
 	}
 	net, err := simnet.New(cfg)
 	if err != nil {

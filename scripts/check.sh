@@ -19,6 +19,9 @@ echo "== go vet tag matrix (race off / race on)"
 go vet ./...
 go vet -tags race ./...
 
+echo "== bench module (a separate module: root go vet/test skip it)"
+(cd bench && go vet ./... && go test ./...)
+
 echo "== go test -race ./..."
 go test -race ./...
 
