@@ -95,15 +95,16 @@ func (s *TenantSet) Each(fn func(name string, c *TenantCounters)) {
 // fairness observable the loadgen soak asserts on). An empty set writes
 // nothing.
 func (s *TenantSet) Encode(e *Encoder) {
-	names := s.names()
+	var names []string
+	var cs []*TenantCounters
+	var totalDone int64
+	s.Each(func(name string, c *TenantCounters) {
+		names = append(names, name)
+		cs = append(cs, c)
+		totalDone += c.Done.Load()
+	})
 	if len(names) == 0 {
 		return
-	}
-	cs := make([]*TenantCounters, len(names))
-	var totalDone int64
-	for i, n := range names {
-		cs[i] = s.Tenant(n)
-		totalDone += cs[i].Done.Load()
 	}
 	for _, f := range []struct {
 		name, help string
