@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test race vet cover bench bench-baseline bench-check check
+.PHONY: build test race vet cover bench check
 
 build:
 	go build ./...
@@ -25,15 +25,7 @@ cover:
 bench:
 	go test -bench=. -benchtime=1x .
 
-# Rewrite BENCH_engine.json and BENCH_harness.json from this machine's benchmark costs.
-bench-baseline:
-	./scripts/bench.sh baseline
-
-# Compare the full benchmark suite against the committed baseline.
-bench-check:
-	./scripts/bench.sh check
-
 # The pre-merge gate: gofmt + vet + full suite under the race detector +
-# benchmark regression gate.
+# the work ledger, allocation pins and a benchmark smoke run.
 check:
 	./scripts/check.sh

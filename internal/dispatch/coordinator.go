@@ -20,6 +20,7 @@ import (
 	"mobic/internal/experiment"
 	"mobic/internal/obs"
 	"mobic/internal/service"
+	"mobic/internal/stats"
 )
 
 // Config parameterizes a Coordinator.
@@ -176,7 +177,7 @@ type Coordinator struct {
 	peerDown  map[string]bool
 	breakers  map[string]*Breaker
 	jobs      map[string]*remoteJob
-	ewma      float64 // seconds per job, for cluster Retry-After hints
+	ewma      *stats.EWMA // seconds per job, for cluster Retry-After hints
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -202,6 +203,7 @@ func New(cfg Config) (*Coordinator, error) {
 		peerDown:     make(map[string]bool),
 		breakers:     make(map[string]*Breaker),
 		jobs:         make(map[string]*remoteJob),
+		ewma:         stats.NewEWMA(service.EWMAAlpha),
 		ctx:          ctx,
 		cancel:       cancel,
 		done:         make(chan struct{}),
@@ -491,13 +493,7 @@ func (c *Coordinator) completeJob(j *remoteJob, st *service.Status) {
 	j.cps = experiment.ExportCheckpoints(nil)
 	if st.StartedAt != nil && st.FinishedAt != nil {
 		if d := st.FinishedAt.Sub(*st.StartedAt).Seconds(); d > 0 {
-			// Same smoothing the worker service uses for its own hint.
-			const alpha = 0.3
-			if c.ewma == 0 {
-				c.ewma = d
-			} else {
-				c.ewma = (1-alpha)*c.ewma + alpha*d
-			}
+			c.ewma.Update(d)
 		}
 	}
 	c.mu.Unlock()
@@ -665,7 +661,7 @@ func (c *Coordinator) retryAfterHint() int {
 			inflight++
 		}
 	}
-	ewma := c.ewma
+	ewma := c.ewma.Value()
 	c.mu.Unlock()
 	workers := len(c.HealthyPeers()) * c.cfg.WorkersPerPeer
 	return service.RetryAfterSeconds(inflight, workers, ewma)

@@ -465,6 +465,19 @@ func TestCoordinatorRetryAfterMerge(t *testing.T) {
 	if got != "17" {
 		t.Fatalf("Retry-After = %q, want %q (max of local and peer hints)", got, "17")
 	}
+
+	// The coordinator's own hint smooths job durations like the worker's:
+	// 10 s then 20 s with service.EWMAAlpha (0.2) is 12 s per job, so one
+	// job over 1 peer × 2 workers waits ceil(12/2) = 6 s (α=0.3 gives 7).
+	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i, secs := range []int{10, 20} {
+		end := start.Add(time.Duration(secs) * time.Second)
+		coord.completeJob(&remoteJob{id: fmt.Sprintf("done-%d", i), digest: fmt.Sprintf("d%d", i)},
+			&service.Status{State: service.StateSucceeded, StartedAt: &start, FinishedAt: &end})
+	}
+	if got := coord.retryAfterHint(); got != 6 {
+		t.Fatalf("cluster Retry-After after 10 s and 20 s jobs = %d, want 6", got)
+	}
 }
 
 func TestCoordinatorReadyRequiresHealthyPeer(t *testing.T) {

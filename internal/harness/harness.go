@@ -16,10 +16,11 @@
 //   - metamorphic tests check relations no correct simulator can violate
 //     (node relabeling, duration extension, warmup accounting).
 //
-// Together with scripts/bench.sh's benchmark regression gate this is the
-// safety net that makes aggressive performance work on simnet and spatial
-// safe: a refactor that preserves digests and stays inside the benchmark
-// tolerance is behaviour-preserving by construction.
+// Together with the work ledger (TestWorkLedger: exact engine work counts
+// and allocations per pinned run) this is the safety net that makes
+// aggressive performance work on simnet and spatial safe: a refactor that
+// preserves digests and the ledger is behaviour-preserving by construction
+// and does no more work than before.
 package harness
 
 import (

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"mobic/internal/obs"
+	"mobic/internal/stats"
 )
 
 // latencyBounds are the job-latency histogram's bucket bounds: 24
@@ -15,9 +16,10 @@ var latencyBounds = []float64{
 	6.5, 7, 7.5, 8, 8.5, 9, 9.5, 10, 10.5, 11, 11.5, 12,
 }
 
-// ewmaAlpha weighs the newest job duration in the moving average behind
-// the 429 Retry-After hint; ~0.2 remembers the last handful of jobs.
-const ewmaAlpha = 0.2
+// EWMAAlpha weighs the newest job duration in the moving average behind
+// the 429 Retry-After hint; ~0.2 remembers the last handful of jobs. The
+// coordinator smooths its cluster-wide hint with the same factor.
+const EWMAAlpha = 0.2
 
 // Metrics aggregates service observability counters, exposed by
 // GET /metrics in Prometheus text format.
@@ -33,14 +35,13 @@ type Metrics struct {
 
 	latency *obs.Hist
 
-	mu      sync.Mutex
-	ewma    float64 // exponentially weighted mean job duration, seconds
-	ewmaSet bool
+	mu   sync.Mutex
+	ewma *stats.EWMA // mean job duration, seconds
 }
 
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	return &Metrics{latency: obs.NewHist(latencyBounds)}
+	return &Metrics{latency: obs.NewHist(latencyBounds), ewma: stats.NewEWMA(EWMAAlpha)}
 }
 
 // ObserveLatency records one finished job's wall-clock seconds.
@@ -48,11 +49,7 @@ func (m *Metrics) ObserveLatency(seconds float64) {
 	m.latency.Observe(seconds)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.ewmaSet {
-		m.ewma, m.ewmaSet = seconds, true
-	} else {
-		m.ewma = ewmaAlpha*seconds + (1-ewmaAlpha)*m.ewma
-	}
+	m.ewma.Update(seconds)
 }
 
 // LatencyEWMA returns the exponentially weighted mean job duration in
@@ -60,7 +57,7 @@ func (m *Metrics) ObserveLatency(seconds float64) {
 func (m *Metrics) LatencyEWMA() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.ewma
+	return m.ewma.Value()
 }
 
 // Encode writes the service families. queueDepth and stored are

@@ -198,8 +198,8 @@ func TestRetryAfterSeconds(t *testing.T) {
 		{"zero workers clamps to one", 1, 0, 2.0, 4},
 	}
 	for _, tc := range cases {
-		if got := retryAfterSeconds(tc.depth, tc.workers, tc.ewma); got != tc.want {
-			t.Errorf("%s: retryAfterSeconds(%d, %d, %g) = %d, want %d",
+		if got := RetryAfterSeconds(tc.depth, tc.workers, tc.ewma); got != tc.want {
+			t.Errorf("%s: RetryAfterSeconds(%d, %d, %g) = %d, want %d",
 				tc.name, tc.depth, tc.workers, tc.ewma, got, tc.want)
 		}
 	}

@@ -516,19 +516,13 @@ func (s *Service) Ready() (bool, string) {
 // should wait before resubmitting: the queue's expected drain time from
 // the EWMA of recent job durations, floored at 1 s and capped at 30 s.
 func (s *Service) RetryAfterHint() int {
-	return retryAfterSeconds(s.QueueDepth(), s.cfg.Workers, s.metrics.LatencyEWMA())
+	return RetryAfterSeconds(s.QueueDepth(), s.cfg.Workers, s.metrics.LatencyEWMA())
 }
 
 // RetryAfterSeconds is the pure computation behind RetryAfterHint,
 // exported so the coordinator can produce the same hint shape from its
 // cluster-wide view (tracked in-flight jobs over healthy workers).
 func RetryAfterSeconds(depth, workers int, ewmaSeconds float64) int {
-	return retryAfterSeconds(depth, workers, ewmaSeconds)
-}
-
-// retryAfterSeconds is the unexported original; kept so internal callers
-// and tests are undisturbed.
-func retryAfterSeconds(depth, workers int, ewmaSeconds float64) int {
 	if workers < 1 {
 		workers = 1
 	}

@@ -64,7 +64,7 @@ func (s *Service) admit(tenant string, n int) error {
 		se.Err = ErrTenantQuota
 		// The tenant's own backlog, not the global depth, predicts when
 		// its quota frees up.
-		se.RetryAfter = retryAfterSeconds(s.queue.Depth(tenant), s.cfg.Workers, s.metrics.LatencyEWMA())
+		se.RetryAfter = RetryAfterSeconds(s.queue.Depth(tenant), s.cfg.Workers, s.metrics.LatencyEWMA())
 	default: // fair.ReasonCapacity
 		se.Err = ErrQueueFull
 		se.RetryAfter = s.RetryAfterHint()

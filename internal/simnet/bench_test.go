@@ -60,8 +60,8 @@ func benchNetworkMut(b *testing.B, collisions bool, rec obs.Recorder, mutate fun
 // BenchmarkBroadcastDelivery measures one steady-state beacon interval of the
 // full 50-node network — every node ticks, broadcasts, and delivers through
 // the collision-model airtime path. This is the per-beacon hot loop every
-// experiment and every mobicd job spends its cycles in; allocs/op is the
-// gated number (see BENCH_engine.json).
+// experiment and every mobicd job spends its cycles in; its zero allocs/op
+// is pinned by TestSteadyStateTickAllocs.
 func BenchmarkBroadcastDelivery(b *testing.B) {
 	runBeaconIntervals(b, true)
 }
@@ -77,9 +77,8 @@ func BenchmarkBroadcastDeliveryNoMAC(b *testing.B) {
 // policies enabled: every node floats its own hello interval (adaptive BI)
 // and carries a battery whose drain accounting and election penalty ride the
 // same hot loop. The budget is far above the horizon's drain, so the number
-// measures the policies' steady-state bookkeeping — and allocs/op is gated at
-// 0 alongside the baseline, pinning that enabling the policies does not cost
-// the zero-alloc tick.
+// measures the policies' steady-state bookkeeping; its zero allocs/op is
+// pinned by TestSteadyStateTickAllocsWithPolicies.
 func BenchmarkAdaptiveBI(b *testing.B) {
 	runBeaconIntervalsMut(b, true, nil, func(cfg *Config) {
 		cfg.Adaptive = &AdaptiveBI{Min: 0.5, Max: 4, MRef: 4, Hysteresis: 0.25}
@@ -91,9 +90,9 @@ func BenchmarkAdaptiveBI(b *testing.B) {
 
 // BenchmarkInstrumentedBroadcastDelivery is BenchmarkBroadcastDelivery with
 // a live obs.Registry installed, measuring the full cost of enabled
-// telemetry on the hot loop. Its ns/op and allocs/op are gated against the
-// uninstrumented baseline in BENCH_engine.json: the delta is the true price
-// of observability, and allocs/op must stay 0.
+// telemetry on the hot loop: its ns/op against the uninstrumented benchmark
+// is the true price of observability. TestSteadyStateTickAllocsRegistry pins
+// its allocs/op at 0.
 func BenchmarkInstrumentedBroadcastDelivery(b *testing.B) {
 	runBeaconIntervalsObs(b, true, obs.NewRegistry())
 }
@@ -131,7 +130,7 @@ func megaNetwork(b *testing.B) *Network {
 
 // BenchmarkMegaScenario measures one steady-state beacon interval of the
 // 10k-node preset, the engine's scale gate, rebuilding (off-timer) when the
-// bounded trajectories run out. Pinned in BENCH_engine.json.
+// bounded trajectories run out.
 func BenchmarkMegaScenario(b *testing.B) {
 	net := megaNetwork(b)
 	interval := net.cfg.BroadcastInterval

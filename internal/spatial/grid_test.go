@@ -181,28 +181,58 @@ func BenchmarkQueryRange(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryRangeDense measures the per-candidate cost of QueryRange on
-// a dense neighborhood with a reused destination buffer — the exact shape of
-// the broadcast hot path, where every candidate costs one position lookup
-// plus one distance test. The allocs/op gate (BENCH_engine.json) pins this
-// at zero.
-func BenchmarkQueryRangeDense(b *testing.B) {
+// denseCenters are the query points of the dense-grid benchmark and test.
+var denseCenters = [4]geom.Point{
+	{X: 100, Y: 100}, {X: 335, Y: 335}, {X: 600, Y: 200}, {X: 50, Y: 650},
+}
+
+// denseGrid indexes 200 nodes spread over a 670 m square at a 250 m range.
+func denseGrid(tb testing.TB) *Grid {
+	tb.Helper()
 	rng := rand.New(rand.NewPCG(3, 4))
 	g, err := NewGrid(geom.Square(670), 250, 200)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
 		g.Update(int32(i), geom.Point{X: rng.Float64() * 670, Y: rng.Float64() * 670})
 	}
-	buf := make([]int32, 0, 256)
-	centers := [4]geom.Point{
-		{X: 100, Y: 100}, {X: 335, Y: 335}, {X: 600, Y: 200}, {X: 50, Y: 650},
+	return g
+}
+
+// TestQueryRangeDenseAllocFree pins the broadcast hot path's index query at
+// zero allocations once its destination buffer has grown.
+func TestQueryRangeDenseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is unreliable under the race detector")
 	}
+	g := denseGrid(t)
+	buf := make([]int32, 0, 256)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = g.QueryRange(denseCenters[i%4], 250, int32(i%200), buf[:0])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("QueryRange allocates %.1f times per query, want 0", allocs)
+	}
+	if len(buf) == 0 {
+		t.Fatal("empty query")
+	}
+}
+
+// BenchmarkQueryRangeDense measures the per-candidate cost of QueryRange on
+// a dense neighborhood with a reused destination buffer — the exact shape of
+// the broadcast hot path, where every candidate costs one position lookup
+// plus one distance test. TestQueryRangeDenseAllocFree pins it at zero
+// allocations.
+func BenchmarkQueryRangeDense(b *testing.B) {
+	g := denseGrid(b)
+	buf := make([]int32, 0, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = g.QueryRange(centers[i%4], 250, int32(i%200), buf[:0])
+		buf = g.QueryRange(denseCenters[i%4], 250, int32(i%200), buf[:0])
 	}
 	if len(buf) == 0 {
 		b.Fatal("empty query")

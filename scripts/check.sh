@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: formatting, static analysis, the whole
-# test suite under the race detector, and the benchmark regression gate.
+# test suite under the race detector, the exact work ledger and allocation
+# pins, and a one-iteration smoke run of every benchmark.
 # Run via `make check` or directly.
 set -eu
 cd "$(dirname "$0")/.."
@@ -36,10 +37,14 @@ awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
 }
 
 echo "== chaos soak (10s of seeded faults + a mid-soak worker kill, under -race)"
-go test -race -run='^TestChaosSoak$' -count=1 -v ./internal/dispatch | grep -E '^(=== RUN|--- (PASS|FAIL)|    chaos_soak|PASS|FAIL|ok)'
+soak="$(go test -race -run='^TestChaosSoak$' -count=1 -v ./internal/dispatch)" || { echo "$soak"; exit 1; }
+echo "$soak" | grep -E '^(=== RUN|--- (PASS|FAIL)|    chaos_soak|PASS|FAIL|ok)'
 
-echo "== allocation regression (hot path must stay zero-alloc, bare and instrumented; skipped under -race above)"
-go test -run='^TestSteadyStateTickAllocs' -count=1 -v ./internal/simnet | grep -E 'PASS|FAIL|allocates'
+echo "== work ledger + allocation pins (the allocation columns and tests skip under -race above)"
+# TestWorkLedger pins each run's exact work counts and its allocations
+# (testdata/work_ledger.json); the others pin the zero-alloc hot paths.
+go test -count=1 -run='^(TestWorkLedger|TestSteadyStateTickAllocs.*|TestRescheduleAllocFree|TestQueryRangeDenseAllocFree)$' \
+    ./internal/harness ./internal/simnet ./internal/sim ./internal/spatial
 
 echo "== fuzz smoke (5s per target, seeded from checked-in corpora)"
 # The target list comes from the test binaries themselves, so a new Fuzz*
@@ -60,7 +65,8 @@ echo "== loadgen fairness smoke (2 tenants at 4:1 weights, embedded service)"
 go run ./cmd/loadgen -tenants heavy:4,light:1 -clients 4 -warmup 500ms \
     -duration 3s -job-ms 10 -tolerance 0.25
 
-echo "== benchmark smoke + regression gate"
-./scripts/bench.sh check
+echo "== benchmark smoke (one iteration each, no timing gate; timing claims come from bench/run.sh compare)"
+smoke="$(go test -run='^$' -bench=. -benchtime=1x ./...)" || { echo "$smoke"; exit 1; }
+echo "$smoke" | grep -E '^(ok|FAIL|---)'
 
 echo "ok"
