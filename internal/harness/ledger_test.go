@@ -26,7 +26,8 @@ var ledgerCounters = []obs.Metric{
 
 const (
 	// rxPowerColumn counts propagation-model calls: one per candidate the
-	// broadcast's index query hands to the exact power test.
+	// broadcast's index query hands to the exact power test, plus the
+	// threshold calibration in simnet.New.
 	rxPowerColumn = "rxpower_calls"
 	// allocsColumn is the run's heap allocation count, New included.
 	allocsColumn = "allocs"
