@@ -100,9 +100,10 @@ func digestAll(t *testing.T, configs map[string]simnet.Config) map[string]Digest
 	return out
 }
 
-// checkPinned compares got with the digest file at path entry by entry, or
-// rewrites the file under -update.
-func checkPinned(t *testing.T, path string, got map[string]Digest) {
+// checkPinned compares got with the JSON file at path entry by entry, or
+// rewrites the file under -update. check reports how one pinned entry
+// differs from its run.
+func checkPinned[V any](t *testing.T, path string, got map[string]V, check func(key string, want, got V)) {
 	t.Helper()
 	if t.Failed() {
 		return
@@ -116,18 +117,17 @@ func checkPinned(t *testing.T, path string, got map[string]Digest) {
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s with %d digests", path, len(got))
+		t.Logf("rewrote %s with %d entries", path, len(got))
 		return
 	}
 	// The key sets must match both ways: a run added to or dropped from
-	// the pinned list must come with, or take away, its digests.
-	want := loadDigests(t, path)
+	// the pinned list must come with, or take away, its entry.
+	want := loadPinned[V](t, path)
 	for key, g := range got {
 		if w, ok := want[key]; !ok {
 			t.Errorf("%s: pinned but not in %s (refresh with -update)", key, path)
-		} else if g != w {
-			t.Errorf("%s: digest drifted\n  golden: %s (%d events)\n  got:    %s (%d events)",
-				key, w.SHA256, w.Events, g.SHA256, g.Events)
+		} else {
+			check(key, w, g)
 		}
 	}
 	for key := range want {
@@ -135,6 +135,17 @@ func checkPinned(t *testing.T, path string, got map[string]Digest) {
 			t.Errorf("%s: in %s but no longer pinned", key, path)
 		}
 	}
+}
+
+// checkDigests pins the digest of every run in configs to the file at path.
+func checkDigests(t *testing.T, path string, configs map[string]simnet.Config) {
+	t.Helper()
+	checkPinned(t, path, digestAll(t, configs), func(key string, w, g Digest) {
+		if g != w {
+			t.Errorf("%s: digest drifted\n  golden: %s (%d events)\n  got:    %s (%d events)",
+				key, w.SHA256, w.Events, g.SHA256, g.Events)
+		}
+	})
 }
 
 // TestGoldenDigests is the cross-run determinism anchor: the digest of every
@@ -147,23 +158,23 @@ func checkPinned(t *testing.T, path string, got map[string]Digest) {
 // algorithm, seed) cells moved. The file's keys must be exactly
 // GoldenRuns() × GoldenSeeds().
 func TestGoldenDigests(t *testing.T) {
-	checkPinned(t, goldenPath, digestAll(t, goldenConfigs(t)))
+	checkDigests(t, goldenPath, goldenConfigs(t))
 }
 
 // TestEnginePathDigests pins the engine paths no golden run sets (history
 // smoothing, MAC collisions, crashes) the same way, in their own file.
 func TestEnginePathDigests(t *testing.T) {
-	checkPinned(t, enginePathsPath, digestAll(t, enginePathConfigs(t)))
+	checkDigests(t, enginePathsPath, enginePathConfigs(t))
 }
 
-// loadDigests reads a committed digest file.
-func loadDigests(t *testing.T, path string) map[string]Digest {
+// loadPinned reads a committed file of pinned entries.
+func loadPinned[V any](t *testing.T, path string) map[string]V {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading %s (refresh with -update): %v", path, err)
 	}
-	var want map[string]Digest
+	var want map[string]V
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("parsing %s: %v", path, err)
 	}

@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"slices"
 	"testing"
 
+	"mobic/internal/cbrp"
 	"mobic/internal/cluster"
 	"mobic/internal/obs"
 	"mobic/internal/radio"
@@ -50,12 +48,14 @@ func (m rxCounter) RxPower(txPower, d float64) float64 {
 }
 
 // ledgerConfigs returns the runs the ledger pins: Table 1 at Tx 250 and the
-// collision-and-crash engine path at both golden seeds, and one 2,000-node
-// run at Table 1 density (side 670·√(2000/50) m) for 60 s.
-func ledgerConfigs(t *testing.T) map[string]simnet.Config {
+// collision-and-crash engine path at both golden seeds, CBRP routing over
+// the first, and one 2,000-node run at Table 1 density (side
+// 670·√(2000/50) m) for 60 s. Each run is a constructor, because an app
+// keeps per-run state and every run needs a fresh one.
+func ledgerConfigs(t *testing.T) map[string]func() simnet.Config {
 	t.Helper()
 	golden, paths := goldenConfigs(t), enginePathConfigs(t)
-	out := make(map[string]simnet.Config)
+	out := make(map[string]func() simnet.Config)
 	for _, seed := range GoldenSeeds() {
 		for _, key := range []string{
 			GoldenKey("table1-tx250", cluster.MOBIC.Name, seed),
@@ -68,8 +68,16 @@ func ledgerConfigs(t *testing.T) map[string]simnet.Config {
 			if !ok {
 				t.Fatalf("%s: no such pinned run", key)
 			}
-			out[key] = cfg
+			out[key] = func() simnet.Config { return cfg }
 		}
+	}
+	// CBRP with the cbrp experiment's flows: the only row whose app layer
+	// sends on pooled events.
+	routed := golden[GoldenKey("table1-tx250", cluster.MOBIC.Name, 1)]
+	out[GoldenKey("cbrp-tx250", cluster.MOBIC.Name, 1)] = func() simnet.Config {
+		cfg := routed
+		cfg.Apps = []simnet.App{cbrp.New(cbrp.Config{Flows: 10, DataInterval: 4})}
+		return cfg
 	}
 	big := scenario.Base(250)
 	big.N, big.Side = 2000, scenario.SmallSide*math.Sqrt(2000.0/scenario.DefaultN)
@@ -78,7 +86,7 @@ func ledgerConfigs(t *testing.T) map[string]simnet.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out[GoldenKey("table1-density-n2000", cluster.MOBIC.Name, 1)] = cfg
+	out[GoldenKey("table1-density-n2000", cluster.MOBIC.Name, 1)] = func() simnet.Config { return cfg }
 	return out
 }
 
@@ -120,12 +128,12 @@ func TestWorkLedger(t *testing.T) {
 		t.Fatal("re-pin the work ledger without -race: it cannot count allocations")
 	}
 	got := make(map[string]map[string]int64)
-	for key, cfg := range ledgerConfigs(t) {
+	for key, newCfg := range ledgerConfigs(t) {
 		var (
 			row map[string]int64
 			err error
 		)
-		run := func() { row, err = ledgerRun(cfg) }
+		run := func() { row, err = ledgerRun(newCfg()) }
 		allocs := 0.0
 		if raceEnabled {
 			run()
@@ -140,45 +148,12 @@ func TestWorkLedger(t *testing.T) {
 		}
 		got[key] = row
 	}
-	if *update {
-		// encoding/json writes map keys sorted, so the file diffs cleanly.
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(ledgerPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d runs", ledgerPath, len(got))
-		return
-	}
-
-	data, err := os.ReadFile(ledgerPath)
-	if err != nil {
-		t.Fatalf("reading %s (refresh with -update): %v", ledgerPath, err)
-	}
-	var want map[string]map[string]int64
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parsing %s: %v", ledgerPath, err)
-	}
-	for _, key := range sortedKeys(want, got) {
-		w, g := want[key], got[key]
-		switch {
-		case w == nil:
-			t.Errorf("%s: run but not pinned in %s (refresh with -update)", key, ledgerPath)
-			continue
-		case g == nil:
-			t.Errorf("%s: pinned in %s but no longer run", key, ledgerPath)
-			continue
-		}
-		for _, col := range sortedKeys(w, g) {
-			wv, wok := w[col]
-			gv, gok := g[col]
+	checkPinned(t, ledgerPath, got, func(key string, w, g map[string]int64) {
+		for col, wv := range w {
+			gv, ok := g[col]
 			switch {
 			case col == allocsColumn && raceEnabled:
-			case !wok:
-				t.Errorf("%s: %s counted but not pinned (refresh with -update)", key, col)
-			case !gok:
+			case !ok:
 				t.Errorf("%s: %s pinned but no longer counted", key, col)
 			case col == allocsColumn:
 				if math.Abs(float64(gv-wv)) > allocsTolerance*float64(wv) {
@@ -188,20 +163,10 @@ func TestWorkLedger(t *testing.T) {
 				t.Errorf("%s: %s moved: pinned %d, got %d", key, col, wv, gv)
 			}
 		}
-	}
-}
-
-// sortedKeys returns the union of the maps' keys in order.
-func sortedKeys[V any](a, b map[string]V) []string {
-	keys := make([]string, 0, len(a)+len(b))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			keys = append(keys, k)
+		for col := range g {
+			if _, ok := w[col]; !ok {
+				t.Errorf("%s: %s counted but not pinned (refresh with -update)", key, col)
+			}
 		}
-	}
-	slices.Sort(keys)
-	return keys
+	})
 }

@@ -54,7 +54,7 @@ func TestAdaptiveBIFloorEqualsCeilingMatchesFixedBI(t *testing.T) {
 // anchored to the committed golden digest, so "disabled" means "exactly the
 // pre-policy behaviour", not merely "self-consistent".
 func TestAdaptiveBIDisabledMatchesBaseline(t *testing.T) {
-	want := loadDigests(t, goldenPath)
+	want := loadPinned[Digest](t, goldenPath)
 	p := scenario.Base(100)
 	p.Duration = PinnedDuration
 	p.Seed = 1

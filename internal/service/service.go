@@ -560,14 +560,10 @@ func (s *Service) Start() {
 				tc := s.tenantCounters(tenant)
 				tc.Queued.Add(-1)
 				tc.Running.Add(1)
+				// runJob takes the job out of Running itself: through
+				// finishRun, or when it schedules a retry.
 				s.runJob(job)
-				tc.Running.Add(-1)
 				s.queue.Release(tenant)
-				// A non-terminal outcome means a retry was scheduled; the
-				// job re-enters Queued when the backoff requeues it.
-				if st, _, _ := job.Snapshot(); st.State.Terminal() {
-					tc.Done.Add(1)
-				}
 			}
 		}()
 	}
@@ -974,6 +970,16 @@ func (s *Service) safeExecute(ctx context.Context, spec JobSpec, runner experime
 	return s.cfg.Execute(ctx, spec, runner, progress)
 }
 
+// finishRun publishes the terminal state of a job a worker holds. The
+// tenant's books move first, Running down and Done up, so a client that
+// sees the job finished never reads it as still running on /metrics.
+func (s *Service) finishRun(job *Job, state State, out *Output, errMsg string, now time.Time) {
+	tc := s.tenantCounters(job.tenant)
+	tc.Running.Add(-1)
+	tc.Done.Add(1)
+	job.finish(state, out, errMsg, now)
+}
+
 // runJob executes one popped job end to end and classifies the outcome.
 func (s *Service) runJob(job *Job) {
 	now := s.cfg.Clock()
@@ -998,7 +1004,7 @@ func (s *Service) runJob(job *Job) {
 		// Canceled while queued: never ran.
 		s.metrics.canceled.Add(1)
 		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateCanceled, Error: context.Canceled.Error()}, func() {
-			job.finish(StateCanceled, nil, context.Canceled.Error(), now)
+			s.finishRun(job, StateCanceled, nil, context.Canceled.Error(), now)
 		})
 		s.settle(job, nil)
 		return
@@ -1047,14 +1053,14 @@ func (s *Service) runJob(job *Job) {
 	case err == nil:
 		s.metrics.completed.Add(1)
 		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateSucceeded, Output: out}, func() {
-			job.finish(StateSucceeded, out, "", end)
+			s.finishRun(job, StateSucceeded, out, "", end)
 		})
 		s.settle(job, out)
 	case errors.Is(err, context.Canceled):
 		s.metrics.canceled.Add(1)
 		if job.CancelRequested() {
 			s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateCanceled, Error: err.Error()}, func() {
-				job.finish(StateCanceled, nil, err.Error(), end)
+				s.finishRun(job, StateCanceled, nil, err.Error(), end)
 			})
 			s.settle(job, nil)
 			return
@@ -1062,14 +1068,14 @@ func (s *Service) runJob(job *Job) {
 		// A shutdown abort (baseCtx canceled without a user request) is
 		// deliberately NOT journaled as terminal: the WAL still shows the
 		// job mid-flight, so the next boot re-enqueues and resumes it.
-		job.finish(StateCanceled, nil, err.Error(), end)
+		s.finishRun(job, StateCanceled, nil, err.Error(), end)
 		s.settle(job, nil)
 	case errors.Is(err, context.DeadlineExceeded):
 		// The job consumed its own wall-clock budget; retrying would just
 		// burn it again.
 		s.metrics.failed.Add(1)
 		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateFailed, Error: err.Error()}, func() {
-			job.finish(StateFailed, nil, err.Error(), end)
+			s.finishRun(job, StateFailed, nil, err.Error(), end)
 		})
 		s.settle(job, nil)
 	default:
@@ -1085,6 +1091,8 @@ func (s *Service) failAttempt(job *Job, attempt int, cause error, now time.Time)
 	if attempt < maxAttempts && !s.Draining() {
 		s.journalAppend(record{Type: recRetry, Job: job.ID(), Time: now, Attempt: attempt, Error: cause.Error()})
 		if job.setRetrying(cause.Error()) {
+			// The job re-enters Queued when the backoff requeues it.
+			s.tenantCounters(job.tenant).Running.Add(-1)
 			s.metrics.retried.Add(1)
 			s.scheduleRetry(job, attempt, cause)
 			return
@@ -1092,7 +1100,7 @@ func (s *Service) failAttempt(job *Job, attempt int, cause error, now time.Time)
 		// Canceled between the failure and the retry decision.
 		s.metrics.canceled.Add(1)
 		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateCanceled, Error: context.Canceled.Error()}, func() {
-			job.finish(StateCanceled, nil, context.Canceled.Error(), now)
+			s.finishRun(job, StateCanceled, nil, context.Canceled.Error(), now)
 		})
 		s.settle(job, nil)
 		return
@@ -1101,14 +1109,14 @@ func (s *Service) failAttempt(job *Job, attempt int, cause error, now time.Time)
 		s.metrics.poisoned.Add(1)
 		msg := fmt.Sprintf("poisoned after %d attempts: %v", attempt, cause)
 		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StatePoisoned, Error: msg}, func() {
-			job.finish(StatePoisoned, nil, msg, now)
+			s.finishRun(job, StatePoisoned, nil, msg, now)
 		})
 		s.settle(job, nil)
 		return
 	}
 	s.metrics.failed.Add(1)
 	s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateFailed, Error: cause.Error()}, func() {
-		job.finish(StateFailed, nil, cause.Error(), now)
+		s.finishRun(job, StateFailed, nil, cause.Error(), now)
 	})
 	s.settle(job, nil)
 }
@@ -1133,10 +1141,10 @@ func (s *Service) scheduleRetry(job *Job, attempt int, cause error) {
 		if s.closed {
 			<-s.submitMu
 			s.metrics.canceled.Add(1)
+			s.tenantCounters(job.tenant).Done.Add(1)
 			job.finish(StateCanceled, nil,
 				fmt.Sprintf("retry %d abandoned by shutdown (last error: %v)", attempt+1, cause), s.cfg.Clock())
 			s.settle(job, nil)
-			s.tenantCounters(job.tenant).Done.Add(1)
 			return
 		}
 		// Requeue bypasses quota and rate admission on purpose: the job

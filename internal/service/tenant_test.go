@@ -401,11 +401,6 @@ func TestTenantAccountingSoak(t *testing.T) {
 		}
 	}
 
-	// A worker settles its tenant's books just after the job turns
-	// terminal; Shutdown returns once every worker has exited.
-	if err := svc.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	for _, tenant := range tenants {
 		tc := svc.TenantMetrics().Tenant(tenant)
 		admitted, done := tc.Admitted.Load(), tc.Done.Load()
