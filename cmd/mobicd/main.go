@@ -142,9 +142,8 @@ func run(args []string, logw io.Writer) error {
 		cacheDisk  = fs.Int64("cache-disk-mb", 256, "on-disk result-cache budget in MiB (with -data-dir)")
 		coordMode  = fs.Bool("coordinator", false, "run as a cluster coordinator instead of a worker (requires -peers)")
 		peerList   = fs.String("peers", "", "comma-separated worker base URLs for -coordinator mode")
-		replicate  = fs.Bool("replicate", false, "stream job checkpoints to the ring successor for fast failover (both modes)")
 		failAfter  = fs.Int("fail-after", 2, "consecutive failed health probes before a peer is marked down (-coordinator)")
-		pollEvery  = fs.Duration("poll-every", time.Second, "tracked-job status/checkpoint poll period (-coordinator)")
+		pollEvery  = fs.Duration("poll-every", time.Second, "tracked-job status poll period (-coordinator)")
 		brkThresh  = fs.Int("breaker-threshold", 5, "consecutive transport failures that open a peer's circuit breaker (-coordinator)")
 		brkCool    = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker waits before a half-open probe (-coordinator)")
 		tenantsCfg = fs.String("tenants", "", "JSON tenant config file: per-tenant weights, quotas and rate limits (empty = single default tenant)")
@@ -225,7 +224,7 @@ func run(args []string, logw io.Writer) error {
 			FailAfter:        *failAfter,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
-			Replicate:        *replicate,
+			Replicate:        true,
 			Local:            local,
 			Cache:            results,
 			Obs:              registry,
@@ -235,7 +234,7 @@ func run(args []string, logw io.Writer) error {
 			return err
 		}
 		coord.Start()
-		logger.Info("coordinator mode", "peers", len(peers), "replicate", *replicate)
+		logger.Info("coordinator mode", "peers", len(peers))
 		handler = dispatch.NewHandler(coord)
 		drain = func() {
 			drainCtx, cancel := context.WithTimeout(context.Background(), *drainGrace)
@@ -260,7 +259,7 @@ func run(args []string, logw io.Writer) error {
 			DataDir:       *dataDir,
 			Retry:         service.RetryPolicy{MaxAttempts: *maxTries},
 			CompactBytes:  *compactAt,
-			Replicate:     *replicate,
+			Replicate:     true,
 			Obs:           registry,
 			Cache:         results,
 			Tenants:       tenants,

@@ -259,11 +259,13 @@ func TestRunRejectsCoordinatorWithoutPeers(t *testing.T) {
 	}
 }
 
-// TestRunCoordinatorMode boots a real worker daemon and a real coordinator
-// daemon in-process, submits a sweep through the coordinator, waits for the
-// proxied result, and checks that an identical resubmission is eventually
-// answered from the coordinator's result cache (fresh job ID, terminal on
-// arrival). SIGTERM then shuts both daemons down cleanly.
+// TestRunCoordinatorMode boots two real worker daemons and a real
+// coordinator daemon in-process, submits a sweep through the coordinator,
+// waits for the proxied result, and checks that the job's owner replicated
+// it to the other worker with no flag set, and that an identical
+// resubmission is eventually answered from the coordinator's result cache
+// (fresh job ID, terminal on arrival). SIGTERM then shuts all three
+// daemons down cleanly.
 func TestRunCoordinatorMode(t *testing.T) {
 	bootAddr := func(args []string) (string, *syncBuffer, chan error) {
 		var log syncBuffer
@@ -282,12 +284,12 @@ func TestRunCoordinatorMode(t *testing.T) {
 		}
 	}
 
-	workerAddr, workerLog, workerDone := bootAddr([]string{
-		"-addr", "127.0.0.1:0", "-workers", "1", "-drain", "5s",
-	})
+	workerArgs := []string{"-addr", "127.0.0.1:0", "-workers", "1", "-drain", "5s"}
+	workerAddr, workerLog, workerDone := bootAddr(workerArgs)
+	worker2Addr, _, worker2Done := bootAddr(workerArgs)
 	coordAddr, coordLog, coordDone := bootAddr([]string{
 		"-addr", "127.0.0.1:0", "-coordinator",
-		"-peers", "http://" + workerAddr,
+		"-peers", "http://" + workerAddr + ",http://" + worker2Addr,
 		"-drain", "5s",
 	})
 	api := "http://" + coordAddr
@@ -352,6 +354,29 @@ func TestRunCoordinatorMode(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
+	// Replication needs no flag: the worker that does not own the job holds
+	// the replica its owner streamed to it.
+	getStatus := func(url string) int {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	replicaHolder := "http://" + worker2Addr
+	if getStatus(replicaHolder+"/v1/jobs/"+st.ID) == http.StatusOK {
+		replicaHolder = "http://" + workerAddr
+	}
+	deadline = time.Now().Add(10 * time.Second)
+	for getStatus(replicaHolder+"/v1/replica/"+st.ID) != http.StatusOK {
+		if time.Now().After(deadline) {
+			t.Fatalf("non-owner %s holds no replica of job %s", replicaHolder, st.ID)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
 	// Identical resubmission: once the coordinator's poll loop internalizes
 	// the completion, the answer comes from its cache — succeeded on
 	// arrival under a fresh job ID.
@@ -395,7 +420,7 @@ func TestRunCoordinatorMode(t *testing.T) {
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	for name, done := range map[string]chan error{"worker": workerDone, "coordinator": coordDone} {
+	for name, done := range map[string]chan error{"worker": workerDone, "worker2": worker2Done, "coordinator": coordDone} {
 		select {
 		case err := <-done:
 			if err != nil {

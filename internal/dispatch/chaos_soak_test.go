@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -15,8 +16,8 @@ import (
 // TestChaosSoak is the sustained-fault gate run by scripts/check.sh under
 // the race detector: a replicated three-worker cluster takes ~10 seconds
 // of submissions while a probabilistic chaos schedule resets submits,
-// degrades checkpoint polls, cuts streams and injects latency — and a
-// worker is killed outright mid-soak. Every job must still converge to
+// fails checkpoint-replication batches, cuts streams and injects latency —
+// and a worker is killed outright mid-soak. Every job must still converge to
 // success, and the long-running job that straddles the kill must finish
 // byte-equal to an uninterrupted reference run.
 func TestChaosSoak(t *testing.T) {
@@ -25,23 +26,30 @@ func TestChaosSoak(t *testing.T) {
 	}
 	refJSON, _ := referenceRun(t)
 
-	replicated := func(cfg *service.Config) {
-		cfg.Replicate = true
-		cfg.ReplicaFlushEvery = 10 * time.Millisecond
-	}
-	workers := []*worker{
-		newWorkerCfg(t, replicated),
-		newWorkerCfg(t, replicated),
-		newWorkerCfg(t, replicated),
-	}
-
 	// Probabilistic but seeded: the same soak replays the same fault
-	// sequence against the same operation order.
+	// sequence against the same operation order. The coordinator's client
+	// and the workers' replication client share the schedule, so failed
+	// replica batches (retried by the replicator) press on the path that
+	// carries a failover's progress.
 	inj := chaos.New(chaos.MustParse("seed 1234\n" +
 		"http POST */jobs prob=0.1 reset\n" +
-		"http GET */checkpoints prob=0.25 error\n" +
+		"http POST */replica/* prob=0.25 error\n" +
 		"body GET */stream prob=0.5 cut=256\n" +
 		"http GET * prob=0.05 latency=10ms\n"))
+	chaosReplicated := func(cfg *service.Config) {
+		replicated(cfg)
+		cfg.ReplicaClient = &http.Client{Timeout: 2 * time.Second, Transport: inj.RoundTripper(nil)}
+		// Two run slots, as mobicd's default: with one, the restored victim
+		// sweep (three N=150 cells, ~20 s under -race) holds its new
+		// owner's only slot, and a soak job placed there queues behind it
+		// past the 30 s deadline whenever the host is loaded.
+		cfg.Workers = 2
+	}
+	workers := []*worker{
+		newWorkerCfg(t, chaosReplicated),
+		newWorkerCfg(t, chaosReplicated),
+		newWorkerCfg(t, chaosReplicated),
+	}
 
 	// A local fallback absorbs the (unlikely) submit walk where chaos
 	// resets every peer's single attempt.
@@ -109,7 +117,11 @@ func TestChaosSoak(t *testing.T) {
 			},
 		}
 		st, _ := submitSpec(t, srv.URL, spec)
-		fin := awaitTerminal(t, srv.URL, st.ID, 30*time.Second)
+		fin, ok := pollTerminal(srv.URL, st.ID, 30*time.Second)
+		if !ok {
+			logStuckJob(t, coord, st.ID)
+			t.Fatalf("soak job %d (n=%d): %s not terminal within 30s", submitted, n, st.ID)
+		}
 		if fin.State != service.StateSucceeded {
 			t.Fatalf("soak job %d (n=%d): %s (%s)", submitted, n, fin.State, fin.Error)
 		}
@@ -133,5 +145,37 @@ func TestChaosSoak(t *testing.T) {
 	if inj.Fired() < 1 {
 		t.Fatal("chaos schedule never fired during the soak")
 	}
-	t.Logf("soak: %d jobs converged, %d faults injected", submitted, inj.Fired())
+	if fired := inj.FiredByRule(); fired[1] < 1 { // the */replica/* rule
+		t.Fatal("no replication batch failed during the soak")
+	}
+	t.Logf("soak: %d jobs converged, %d faults injected (per rule %v)", submitted, inj.Fired(), inj.FiredByRule())
+}
+
+// logStuckJob logs what the coordinator knows about a job that missed its
+// deadline — its peer, terminal flag, the peer's down flag and breaker
+// state — and the owning peer's own view of the job.
+func logStuckJob(t *testing.T, coord *Coordinator, id string) {
+	t.Helper()
+	coord.mu.Lock()
+	j := coord.jobs[id]
+	if j == nil {
+		coord.mu.Unlock()
+		t.Logf("stuck job %s: not tracked by the coordinator", id)
+		return
+	}
+	peer, terminal, local, down := j.peer, j.terminal, j.local, coord.peerDown[j.peer]
+	coord.mu.Unlock()
+	if local {
+		t.Logf("stuck job %s: running on the coordinator's local fallback", id)
+		return
+	}
+	t.Logf("stuck job %s: peer=%s terminal=%v peer_down=%v breaker=%s", id, peer, terminal, down, coord.breaker(peer).State())
+	resp, err := http.Get(peer + "/v1/jobs/" + id)
+	if err != nil {
+		t.Logf("stuck job %s: owner status: %v", id, err)
+		return
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	t.Logf("stuck job %s: owner status %d: %s", id, resp.StatusCode, body)
 }

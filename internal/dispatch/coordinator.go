@@ -37,8 +37,9 @@ type Config struct {
 	Client *http.Client
 	// HealthEvery is the /readyz probe period (default 2 s).
 	HealthEvery time.Duration
-	// PollEvery is the tracked-job status/checkpoint poll period
-	// (default 1 s).
+	// PollEvery is the tracked-job status poll period (default 1 s). A
+	// poll only catches completion; progress reaches a failover target by
+	// replication, not through the coordinator.
 	PollEvery time.Duration
 	// FailAfter is the number of consecutive failed health probes that
 	// mark a peer down and trigger failover (default 2). One blip on a
@@ -63,6 +64,9 @@ type Config struct {
 	// target — the first healthy distinct ring successor of its owner —
 	// via the X-Mobic-Replica header on submits and failover restores.
 	// Workers must run with replication enabled for the header to bite.
+	// Replication is the only way a failover keeps a sweep's progress:
+	// with it off, a failed-over job re-runs from its first cell (the
+	// output is the same, since resume equals re-run).
 	Replicate bool
 	// Local, when non-nil, is an embedded fallback service: a submission
 	// arriving while no worker is reachable runs locally (its status is
@@ -78,8 +82,8 @@ type Config struct {
 	// finished outputs are published into it and identical resubmissions
 	// are answered without touching any worker.
 	Cache *cache.Cache
-	// Obs receives dispatch telemetry (forwards, failovers, shipped
-	// checkpoints, healthy-peer gauge). Defaults to obs.Nop.
+	// Obs receives dispatch telemetry (forwards, failovers, healthy-peer
+	// gauge). Defaults to obs.Nop.
 	Obs obs.Recorder
 	// Logger receives operational events (peer transitions, failovers).
 	// Defaults to a discard logger.
@@ -148,9 +152,6 @@ type remoteJob struct {
 	tenant string
 	// peer is the worker currently responsible for the job.
 	peer string
-	// cps is the last checkpoint prefix observed by the poll loop — what
-	// failover ships. Always version-stamped (possibly empty).
-	cps experiment.CheckpointSet
 	// synthetic marks a job the coordinator answered from its own cache;
 	// no worker has ever heard of its ID.
 	synthetic bool
@@ -171,11 +172,11 @@ type Coordinator struct {
 	ring         *Ring
 	flights      *cache.Flight
 	streamClient *http.Client
+	breakers     map[string]*Breaker // one per ring peer; read-only after New
 
 	mu        sync.Mutex
 	peerFails map[string]int
 	peerDown  map[string]bool
-	breakers  map[string]*Breaker
 	jobs      map[string]*remoteJob
 	ewma      *stats.EWMA // seconds per job, for cluster Retry-After hints
 
@@ -328,7 +329,7 @@ func (c *Coordinator) healthPass() {
 }
 
 // failoverStranded re-dispatches every non-terminal job whose peer is down
-// to the ring successor, shipping the last observed checkpoint prefix. It
+// to the ring successor, which resumes it from its replica store. It
 // runs every health pass, so a failover that could not land (successor
 // also down, transient error) is retried until it does.
 func (c *Coordinator) failoverStranded() {
@@ -345,13 +346,15 @@ func (c *Coordinator) failoverStranded() {
 	}
 }
 
-// failover ships job's spec, key and checkpoint prefix to the first
-// healthy peer in ring-successor order and repoints the job there.
+// failover ships job's spec, key and tenant to the first healthy peer in
+// ring-successor order and repoints the job there. The target was the old
+// owner's replica target, so it resumes from the checkpoints the owner
+// streamed to it. The restore still carries a checkpoint set, empty but
+// version-stamped, because the worker rejects a restore without one.
 func (c *Coordinator) failover(j *remoteJob) {
 	start := c.cfg.Clock()
 	c.mu.Lock()
 	oldPeer := j.peer
-	cps := j.cps
 	c.mu.Unlock()
 
 	target := c.ring.Owner(j.digest, c.isDown)
@@ -363,7 +366,7 @@ func (c *Coordinator) failover(j *remoteJob) {
 		Key         string                   `json:"key,omitempty"`
 		Tenant      string                   `json:"tenant,omitempty"`
 		Checkpoints experiment.CheckpointSet `json:"checkpoints"`
-	}{j.spec, j.key, j.tenant, cps})
+	}{j.spec, j.key, j.tenant, experiment.ExportCheckpoints(nil)})
 	if err != nil {
 		return
 	}
@@ -389,12 +392,10 @@ func (c *Coordinator) failover(j *remoteJob) {
 	c.mu.Unlock()
 	end := c.cfg.Clock()
 	c.cfg.Obs.Add(obs.DispatchFailovers, 1)
-	c.cfg.Obs.Add(obs.DispatchCheckpointsShipped, int64(len(cps.Cells)))
 	if c.cfg.Obs.Enabled() {
 		c.cfg.Obs.Span(obs.SpanFailover, start.UnixNano(), end.UnixNano())
 	}
-	c.cfg.Logger.Info("job failed over", "job", j.id, "from", oldPeer, "to", target,
-		"checkpoints", len(cps.Cells))
+	c.cfg.Logger.Info("job failed over", "job", j.id, "from", oldPeer, "to", target)
 }
 
 // pruneExpired drops terminal jobs past their TTL.
@@ -409,9 +410,9 @@ func (c *Coordinator) pruneExpired() {
 	}
 }
 
-// pollPass refreshes every tracked non-terminal job: status first (to
-// catch completion), then the checkpoint prefix (so a later failover ships
-// the freshest resume point).
+// pollPass refreshes every tracked non-terminal job's status, to catch
+// completion. It is one status call per job; checkpoints travel from the
+// owner to its replica target, never through the coordinator.
 func (c *Coordinator) pollPass() {
 	c.mu.Lock()
 	var live []*remoteJob
@@ -457,20 +458,7 @@ func (c *Coordinator) pollJob(j *remoteJob) {
 	}
 	if st.State.Terminal() {
 		c.completeJob(j, &st)
-		return
 	}
-	if j.spec.Sweep == nil {
-		return // named experiments re-run whole; nothing to ship
-	}
-	var export service.CheckpointExport
-	if err := c.getJSON(c.ctx, peer, "/v1/jobs/"+j.id+"/checkpoints", &export); err != nil {
-		return
-	}
-	c.mu.Lock()
-	if len(export.Checkpoints.Cells) > len(j.cps.Cells) {
-		j.cps = export.Checkpoints
-	}
-	c.mu.Unlock()
 }
 
 // completeJob records a terminal status: publishes a successful output to
@@ -489,8 +477,6 @@ func (c *Coordinator) completeJob(j *remoteJob, st *service.Status) {
 	}
 	j.final = st
 	j.finished = c.cfg.Clock()
-	// A finished job never fails over, so its checkpoints are dead weight.
-	j.cps = experiment.ExportCheckpoints(nil)
 	if st.StartedAt != nil && st.FinishedAt != nil {
 		if d := st.FinishedAt.Sub(*st.StartedAt).Seconds(); d > 0 {
 			c.ewma.Update(d)
@@ -508,17 +494,10 @@ func (c *Coordinator) completeJob(j *remoteJob, st *service.Status) {
 // errBreakerOpen marks a call refused locally by an open circuit breaker.
 var errBreakerOpen = errors.New("dispatch: circuit breaker open")
 
-// breaker returns the circuit breaker guarding peer, creating one lazily
-// for peers that joined after construction (tests, future membership).
+// breaker returns the circuit breaker guarding peer, one of the ring's
+// peers.
 func (c *Coordinator) breaker(peer string) *Breaker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.breakers[peer]
-	if !ok {
-		b = newBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, c.cfg.Clock)
-		c.breakers[peer] = b
-	}
-	return b
+	return c.breakers[peer]
 }
 
 // backoffDelay is the wait before retry attempt i (1-based): capped

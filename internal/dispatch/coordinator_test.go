@@ -85,6 +85,13 @@ func newWorker(t *testing.T) *worker {
 	return newWorkerCfg(t, nil)
 }
 
+// replicated is the newWorkerCfg mutation for a worker that streams its
+// jobs' checkpoints to the replica target a coordinator names.
+func replicated(cfg *service.Config) {
+	cfg.Replicate = true
+	cfg.ReplicaFlushEvery = 10 * time.Millisecond
+}
+
 // newWorkerCfg builds a worker whose service config was run through mutate
 // (replication knobs, timers) before opening.
 func newWorkerCfg(t *testing.T, mutate func(*service.Config)) *worker {
@@ -190,103 +197,61 @@ func submitSpec(t *testing.T, url string, spec service.JobSpec) (service.Status,
 
 func awaitTerminal(t *testing.T, url, id string, within time.Duration) service.Status {
 	t.Helper()
+	st, ok := pollTerminal(url, id, within)
+	if !ok {
+		t.Fatalf("job %s not terminal within %v", id, within)
+	}
+	return st
+}
+
+// pollTerminal polls url's status for job id until it is terminal or
+// within elapses; ok reports which.
+func pollTerminal(url, id string, within time.Duration) (st service.Status, ok bool) {
 	deadline := time.Now().Add(within)
 	for {
 		resp, err := http.Get(url + "/v1/jobs/" + id)
 		if err == nil {
-			var st service.Status
 			err = json.NewDecoder(resp.Body).Decode(&st)
 			resp.Body.Close()
 			if err == nil && st.State.Terminal() {
-				return st
+				return st, true
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s not terminal within %v", id, within)
+			return st, false
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 }
 
 // TestFailoverResumesAndCaches is the subsystem acceptance test: a
-// coordinator over two workers places a sweep, the owning worker is killed
-// after at least one checkpoint has been observed, the job fails over to
-// the surviving worker with the checkpoint prefix shipped, and the final
-// output is digest-identical to an uninterrupted reference run. A
-// resubmission of the same spec is then answered from the coordinator's
-// result cache without touching any worker.
+// replicating coordinator over two replicating workers places a sweep, the
+// owning worker is killed after it has streamed at least one checkpoint to
+// its ring successor, the job fails over to that survivor and resumes from
+// the replica, and the final output is digest-identical to an
+// uninterrupted reference run. A resubmission of the same spec is then
+// answered from the coordinator's result cache without touching any worker.
 func TestFailoverResumesAndCaches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second failover e2e")
 	}
 
 	// Reference: the same sweep, uninterrupted, no cluster.
-	refCol := newDigestCollector()
-	ref := service.New(service.Config{
-		Workers: 1,
-		Runner:  experiment.Runner{Seeds: 1, Workers: 1, Mutate: refCol.mutate},
-	})
-	ref.Start()
-	defer ref.Shutdown(context.Background())
-	refJob, err := ref.Submit(failoverSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refSt service.Status
-	for {
-		st, _, notify := refJob.Snapshot()
-		if st.State.Terminal() {
-			refSt = st
-			break
-		}
-		<-notify
-	}
-	if refSt.State != service.StateSucceeded || len(refSt.Cells) != 4 {
-		t.Fatalf("reference run: %s, %d cells", refSt.State, len(refSt.Cells))
-	}
-	refJSON, err := json.Marshal(refSt.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDigests := refCol.sums()
+	refJSON, refDigests := referenceRun(t)
 
-	workers := []*worker{newWorker(t), newWorker(t)}
-	coord, srv, reg := newCluster(t, workers)
+	workers := []*worker{newWorkerCfg(t, replicated), newWorkerCfg(t, replicated)}
+	coord, srv, reg := newClusterCfg(t, workers, func(cfg *Config) { cfg.Replicate = true })
 
 	st, _ := submitSpec(t, srv.URL, failoverSweep())
-	if st.ID == "" {
-		t.Fatal("no job ID from coordinator")
+	coord.mu.Lock()
+	j := coord.jobs[st.ID]
+	coord.mu.Unlock()
+	if j == nil {
+		t.Fatal("submitted job not tracked")
 	}
-
-	// Wait until the coordinator has observed at least one checkpoint from
-	// the owning worker — the prefix a failover would ship.
-	var owner string
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		coord.mu.Lock()
-		j := coord.jobs[st.ID]
-		var observed int
-		if j != nil {
-			observed, owner = len(j.cps.Cells), j.peer
-		}
-		terminal := j != nil && j.terminal
-		coord.mu.Unlock()
-		if j == nil {
-			t.Fatal("submitted job not tracked")
-		}
-		if terminal {
-			t.Fatal("sweep finished before a checkpoint was observed; make failoverSweep slower")
-		}
-		if observed >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint observed in 30s")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Kill the owner; keep the survivor.
+	coord.mu.Lock()
+	owner := j.peer
+	coord.mu.Unlock()
 	var victim, survivor *worker
 	for _, w := range workers {
 		if w.srv.URL == owner {
@@ -298,6 +263,28 @@ func TestFailoverResumesAndCaches(t *testing.T) {
 	if victim == nil || survivor == nil {
 		t.Fatalf("owner %q is not one of the workers", owner)
 	}
+
+	// Wait until the owner has streamed at least one checkpoint to the
+	// survivor, its ring successor: the replica the failover resumes from.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		_, _, cps, ok := survivor.svc.Replicas().Lookup(st.ID)
+		if ok && len(cps) >= 1 {
+			break
+		}
+		coord.mu.Lock()
+		terminal := j.terminal
+		coord.mu.Unlock()
+		if terminal {
+			t.Fatal("sweep finished before a checkpoint was replicated; make failoverSweep slower")
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint replicated in 30s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Kill the owner; keep the survivor.
 	victim.kill()
 
 	// The job must finish — failed over, resumed, digest-identical.
@@ -309,14 +296,14 @@ func TestFailoverResumesAndCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(finJSON) != string(refJSON) {
+	if string(finJSON) != refJSON {
 		t.Errorf("failed-over output differs from uninterrupted reference:\nref: %s\ngot: %s", refJSON, finJSON)
 	}
 	if got := reg.Counter(obs.DispatchFailovers); got != 1 {
 		t.Errorf("failovers = %d, want 1", got)
 	}
-	if got := reg.Counter(obs.DispatchCheckpointsShipped); got < 1 {
-		t.Errorf("checkpoints shipped = %d, want >= 1", got)
+	if got := survivor.reg.Counter(obs.ReplRestores); got != 1 {
+		t.Errorf("survivor ReplRestores = %d, want 1", got)
 	}
 
 	// The survivor resumed: it simulated only unfinished cells, and those

@@ -1,25 +1,22 @@
 package experiment
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // checkpointVersion is the wire version of a shipped checkpoint prefix.
-// Bump it on any CellStats encoding change: a coordinator must never
-// restore a prefix a differently-versioned worker journaled, because
+// Bump it on any CellStats encoding change: a worker must never resume
+// from a prefix a differently-versioned worker journaled, because
 // resume-equals-rerun is only proven within one encoding.
 const checkpointVersion = 1
 
 // CheckpointSet is the portable form of a sweep's completed-cell prefix:
 // what a worker exports from its journal (GET /v1/jobs/{id}/checkpoints)
-// and a coordinator ships to the successor peer on failover (POST
-// /v1/jobs/{id}/restore). Cells[i] is the aggregate of sweep cell i; the
-// prefix property — cells 0..len-1 complete, nothing beyond — is exactly
-// the shape Runner.StartCell/Resume consumes, which is what makes a
-// restored run byte-equal to an uninterrupted one.
+// and accepts in a restore body (POST /v1/jobs/{id}/restore). Cells[i] is
+// the aggregate of sweep cell i; the prefix property — cells 0..len-1
+// complete, nothing beyond — is exactly the shape Runner.StartCell/Resume
+// consumes, which is what makes a restored run byte-equal to an
+// uninterrupted one.
 type CheckpointSet struct {
-	// Version pins the encoding; DecodeCheckpoints rejects mismatches.
+	// Version pins the encoding; Resume rejects mismatches.
 	Version int `json:"version"`
 	// Cells is the contiguous completed prefix, in cell order.
 	Cells []CellStats `json:"cells,omitempty"`
@@ -28,21 +25,6 @@ type CheckpointSet struct {
 // ExportCheckpoints wraps a completed-cell prefix for the wire.
 func ExportCheckpoints(cells []CellStats) CheckpointSet {
 	return CheckpointSet{Version: checkpointVersion, Cells: cells}
-}
-
-// EncodeCheckpoints renders the set as its canonical JSON payload.
-func EncodeCheckpoints(cells []CellStats) ([]byte, error) {
-	return json.Marshal(ExportCheckpoints(cells))
-}
-
-// DecodeCheckpoints parses and version-checks a shipped checkpoint payload,
-// returning the resume prefix.
-func DecodeCheckpoints(data []byte) ([]CellStats, error) {
-	var cs CheckpointSet
-	if err := json.Unmarshal(data, &cs); err != nil {
-		return nil, fmt.Errorf("experiment: checkpoint payload: %w", err)
-	}
-	return cs.Resume()
 }
 
 // Resume validates the set and returns the prefix to hand to

@@ -74,9 +74,6 @@ const (
 	// DispatchFailovers counts interrupted jobs re-dispatched to a
 	// successor peer after a worker failure.
 	DispatchFailovers
-	// DispatchCheckpointsShipped counts checkpoint records the coordinator
-	// pulled from workers for failover (the WAL-shipping volume).
-	DispatchCheckpointsShipped
 	// DispatchPeersHealthy gauges the number of peers passing /readyz.
 	DispatchPeersHealthy
 
@@ -176,10 +173,9 @@ var defs = [NumMetrics]Def{
 	CacheMisses:    {"mobic_cache_misses_total", "Result-cache lookups that fell through to a real run.", Counter},
 	CacheEvictions: {"mobic_cache_evictions_total", "Cached results dropped by the entry or byte bounds.", Counter},
 
-	DispatchForwarded:          {"mobic_dispatch_forwarded_total", "Jobs the coordinator placed on a worker peer.", Counter},
-	DispatchFailovers:          {"mobic_dispatch_failovers_total", "Interrupted jobs re-dispatched to a successor peer.", Counter},
-	DispatchCheckpointsShipped: {"mobic_dispatch_checkpoints_shipped_total", "Checkpoint records pulled from workers for failover.", Counter},
-	DispatchPeersHealthy:       {"mobic_dispatch_peers_healthy", "Worker peers currently passing their readiness probe.", Gauge},
+	DispatchForwarded:    {"mobic_dispatch_forwarded_total", "Jobs the coordinator placed on a worker peer.", Counter},
+	DispatchFailovers:    {"mobic_dispatch_failovers_total", "Interrupted jobs re-dispatched to a successor peer.", Counter},
+	DispatchPeersHealthy: {"mobic_dispatch_peers_healthy", "Worker peers currently passing their readiness probe.", Gauge},
 
 	TilePlannedTicks:     {"mobic_tile_planned_ticks_total", "Unused; always 0 (the tiled planner was removed).", Counter},
 	TileFallbackTicks:    {"mobic_tile_fallback_ticks_total", "Unused; always 0 (the tiled planner was removed).", Counter},

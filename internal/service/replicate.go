@@ -11,12 +11,11 @@ import (
 	"mobic/internal/obs"
 )
 
-// Proactive WAL replication. PR 6's failover ships checkpoints at failover
-// time — the coordinator's last observed prefix — which loses progress when
-// the worker and the coordinator's poller fail together. With replication
-// enabled, a worker streams each job's journal records (the submit record,
-// then every checkpoint) to its ring successor as they are fsync'd locally,
-// so the successor holds a warm replica before anything dies.
+// Proactive WAL replication, the way a coordinator's failover keeps a
+// sweep's progress. With replication enabled, a worker streams each job's
+// journal records (the submit record, then every checkpoint) to its ring
+// successor as they are fsync'd locally, so the successor holds a warm
+// replica before anything dies, and a restore there resumes from it.
 //
 // Wire format: POST /v1/replica/{id} with body
 //

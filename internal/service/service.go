@@ -122,7 +122,8 @@ type Config struct {
 	// restored with a replica target (the X-Mobic-Replica header, set by a
 	// coordinator to the job's ring successor) stream their checkpoint
 	// records to that peer as they are journaled, so a failover restores
-	// from a warm replica instead of the coordinator's last poll.
+	// from a warm replica. It is the only way a coordinator's failover
+	// keeps a sweep's progress.
 	Replicate bool
 	// ReplicaFlushEvery is the replication batching window (default 25 ms):
 	// checkpoints landing within it coalesce into one batch.
@@ -795,10 +796,11 @@ func (s *Service) Restore(id string, spec JobSpec, key string, cps []experiment.
 // RestoreWith is Restore with the full option set. Before enqueueing it
 // consults the local replica store: when a ring predecessor streamed this
 // job's checkpoints here and that replica holds a longer contiguous prefix
-// than the shipped one (the coordinator's last poll may be stale — or
-// empty, if chaos interrupted the poller), the job resumes from the replica
-// instead. That is the payoff of proactive replication: progress journaled
-// after the coordinator's last observation survives the owner's death.
+// than the shipped one, the job resumes from the replica instead. A
+// coordinator ships an empty prefix and relies on the replica alone; an
+// older one may still ship the prefix it last polled, and the longer of
+// the two wins. Either way, progress the owner journaled survives its
+// death.
 func (s *Service) RestoreWith(id string, spec JobSpec, opts SubmitOpts, cps []experiment.CellStats) (job *Job, existed bool, err error) {
 	key := opts.Key
 	if err := spec.Validate(); err != nil {
