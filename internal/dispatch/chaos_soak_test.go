@@ -16,10 +16,11 @@ import (
 // TestChaosSoak is the sustained-fault gate run by scripts/check.sh under
 // the race detector: a replicated three-worker cluster takes ~10 seconds
 // of submissions while a probabilistic chaos schedule resets submits,
-// fails checkpoint-replication batches, cuts streams and injects latency —
-// and a worker is killed outright mid-soak. Every job must still converge to
-// success, and the long-running job that straddles the kill must finish
-// byte-equal to an uninterrupted reference run.
+// fails checkpoint-replication batches and injects latency — and a worker
+// is killed outright mid-soak. Its stream-cut rule fires only if a client
+// streams, and the soak polls status instead. Every job must still
+// converge to success, and the long-running job that straddles the kill
+// must finish byte-equal to an uninterrupted reference run.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10s chaos soak")
@@ -40,7 +41,7 @@ func TestChaosSoak(t *testing.T) {
 		replicated(cfg)
 		cfg.ReplicaClient = &http.Client{Timeout: 2 * time.Second, Transport: inj.RoundTripper(nil)}
 		// Two run slots, as mobicd's default: with one, the restored victim
-		// sweep (three N=150 cells, ~20 s under -race) holds its new
+		// sweep (up to three N=150 cells, ~20 s under -race) holds its new
 		// owner's only slot, and a soak job placed there queues behind it
 		// past the 30 s deadline whenever the host is loaded.
 		cfg.Workers = 2
