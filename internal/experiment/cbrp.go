@@ -8,7 +8,6 @@ import (
 	"mobic/internal/cluster"
 	"mobic/internal/scenario"
 	"mobic/internal/simnet"
-	"mobic/internal/stats"
 )
 
 // CBRP regenerates the A11 extension: the CBRP-lite routing protocol
@@ -17,7 +16,6 @@ import (
 // delivery ratio and route breaks (what cluster stability buys the data
 // plane) and the control overhead (what the backbone saves on discovery).
 func CBRP(ctx context.Context, r Runner) (*Result, error) {
-	r = r.withDefaults()
 	xs := []float64{150, 200, 250}
 
 	type variantSpec struct {
@@ -32,62 +30,50 @@ func CBRP(ctx context.Context, r Runner) (*Result, error) {
 		{name: "mobic-flatflood", alg: cluster.MOBIC, flat: true},
 		{name: "mobic-repair", alg: cluster.MOBIC, repair: true},
 	}
-
-	pdr := make([]Series, len(variants))
-	ctrl := make([]Series, len(variants))
-	breaks := make([]Series, len(variants))
-	for vi, v := range variants {
-		pdr[vi] = Series{Name: v.name + "-pdr(%)", Y: make([]float64, len(xs))}
-		ctrl[vi] = Series{Name: v.name + "-ctrl-tx", Y: make([]float64, len(xs))}
-		breaks[vi] = Series{Name: v.name + "-breaks", Y: make([]float64, len(xs))}
-		for xi, tx := range xs {
-			var pdrAcc, ctrlAcc, brkAcc stats.Accumulator
-			for s := 0; s < r.Seeds; s++ {
-				p := scenario.Base(tx)
-				p.Seed = r.BaseSeed + uint64(s)
-				cfg, err := p.Config(v.alg)
-				if err != nil {
-					return nil, err
-				}
-				if r.Mutate != nil {
-					r.Mutate(&cfg)
-				}
-				proto := cbrp.New(cbrp.Config{
-					Flows: 10, DataInterval: 4,
-					FlatFlooding: v.flat, LocalRepair: v.repair,
-				})
-				cfg.Apps = []simnet.App{proto}
-				net, err := simnet.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := net.RunContext(ctx); err != nil {
-					return nil, err
-				}
-				st := proto.Stats()
-				pdrAcc.Add(100 * st.DeliveryRatio())
-				ctrlAcc.Add(float64(st.ControlTx()))
-				brkAcc.Add(float64(st.RouteBreaks))
-			}
-			pdr[vi].Y[xi] = pdrAcc.Mean()
-			ctrl[vi].Y[xi] = ctrlAcc.Mean()
-			breaks[vi].Y[xi] = brkAcc.Mean()
+	var cells []Cell
+	for _, v := range variants {
+		for _, tx := range xs {
+			cells = append(cells, Cell{Params: scenario.Base(tx), Algorithm: v.alg})
 		}
 	}
+	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells),
+		func(ctx context.Context, ci int, cfg simnet.Config) (samples, error) {
+			v := variants[ci/len(xs)]
+			proto := cbrp.New(cbrp.Config{
+				Flows: 10, DataInterval: 4,
+				FlatFlooding: v.flat, LocalRepair: v.repair,
+			})
+			cfg.Apps = []simnet.App{proto}
+			net, err := simnet.New(cfg)
+			if err != nil {
+				return samples{}, err
+			}
+			if _, err := net.RunContext(ctx); err != nil {
+				return samples{}, err
+			}
+			st := proto.Stats()
+			return samples{{100 * st.DeliveryRatio()}, {float64(st.ControlTx())}, {float64(st.RouteBreaks)}}, nil
+		}, nil)
+	if err != nil {
+		return nil, err
+	}
+
 	res := &Result{
 		ID:     "cbrp",
 		Title:  "A11: CBRP-lite routing over LCC vs MOBIC clusters",
 		XLabel: "transmission range (m)",
 		YLabel: "data delivery ratio (%)",
 		X:      xs,
-		Series: []Series{pdr[0], pdr[1], pdr[2], pdr[3]},
 	}
 	for vi, v := range variants {
+		pdr := Series{Name: v.name + "-pdr(%)", Y: make([]float64, len(xs))}
 		for xi, tx := range xs {
+			m := meanOf(reps[vi*len(xs)+xi])
+			pdr.Y[xi] = m[0]
 			res.Notes = append(res.Notes, fmt.Sprintf(
-				"%-16s tx=%3.0f: control tx %7.0f, route breaks %5.0f",
-				v.name, tx, ctrl[vi].Y[xi], breaks[vi].Y[xi]))
+				"%-16s tx=%3.0f: control tx %7.0f, route breaks %5.0f", v.name, tx, m[1], m[2]))
 		}
+		res.Series = append(res.Series, pdr)
 	}
 	return res, nil
 }

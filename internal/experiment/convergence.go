@@ -6,7 +6,6 @@ import (
 	"mobic/internal/geom"
 	"mobic/internal/mobility"
 	"mobic/internal/simnet"
-	"mobic/internal/stats"
 )
 
 // Convergence tests the paper's O(d) convergence claim (Theorem 1's
@@ -16,43 +15,38 @@ import (
 // until the cluster structure stops changing, alongside the topology's hop
 // diameter.
 func Convergence(ctx context.Context, r Runner) (*Result, error) {
-	r = r.withDefaults()
 	// Growing areas at constant density: diameter grows with the side.
 	sides := []float64{400, 800, 1200, 1600, 2000}
 	const txRange = 200.0
 	const density = 50.0 / (670.0 * 670.0) // the paper's node density
 
-	timeSeries := Series{Name: "convergence-time(s)", Y: make([]float64, len(sides))}
-	diamSeries := Series{Name: "hop-diameter", Y: make([]float64, len(sides))}
-	for si, side := range sides {
-		var tAcc, dAcc stats.Accumulator
+	// A static config is no scenario.Params, so it is built from the seed.
+	config := func(si int, seed uint64) (simnet.Config, error) {
+		side := sides[si]
 		n := int(density * side * side)
 		if n < 5 {
 			n = 5
 		}
-		for s := 0; s < r.Seeds; s++ {
-			area := geom.Square(side)
-			cfg := simnet.Config{
-				N:         n,
-				Area:      area,
-				Duration:  300,
-				Seed:      r.BaseSeed + uint64(s),
-				Algorithm: cluster.LCC,
-				Mobility:  &mobility.Static{Area: area},
-				TxRange:   txRange,
-			}
-			if r.Mutate != nil {
-				r.Mutate(&cfg)
-			}
-			ct, diam, err := convergenceTime(cfg)
-			if err != nil {
-				return nil, err
-			}
-			tAcc.Add(ct)
-			dAcc.Add(float64(diam))
-		}
-		timeSeries.Y[si] = tAcc.Mean()
-		diamSeries.Y[si] = dAcc.Mean()
+		area := geom.Square(side)
+		return simnet.Config{
+			N:         n,
+			Area:      area,
+			Duration:  300,
+			Seed:      seed,
+			Algorithm: cluster.LCC,
+			Mobility:  &mobility.Static{Area: area},
+			TxRange:   txRange,
+		}, nil
+	}
+	reps, err := replicate(ctx, r, 0, len(sides), config, convergenceTime, nil)
+	if err != nil {
+		return nil, err
+	}
+	timeSeries := Series{Name: "convergence-time(s)", Y: make([]float64, len(sides))}
+	diamSeries := Series{Name: "hop-diameter", Y: make([]float64, len(sides))}
+	for si := range sides {
+		m := meanOf(reps[si])
+		timeSeries.Y[si], diamSeries.Y[si] = m[0], m[1]
 	}
 	return &Result{
 		ID:     "convergence",
@@ -69,12 +63,12 @@ func Convergence(ctx context.Context, r Runner) (*Result, error) {
 }
 
 // convergenceTime runs cfg until the role assignment is stable for three
-// beacon intervals and returns the time of the last change plus the static
+// beacon intervals and returns the time of the last change and the static
 // topology's hop diameter.
-func convergenceTime(cfg simnet.Config) (float64, int, error) {
+func convergenceTime(ctx context.Context, _ int, cfg simnet.Config) (samples, error) {
 	net, err := simnet.New(cfg)
 	if err != nil {
-		return 0, 0, err
+		return samples{}, err
 	}
 	bi := cfg.BroadcastInterval
 	if bi == 0 {
@@ -83,6 +77,9 @@ func convergenceTime(cfg simnet.Config) (float64, int, error) {
 	lastChange := 0.0
 	prev := rolesOf(net)
 	for t := bi; t <= cfg.Duration; t += bi {
+		if err := ctx.Err(); err != nil {
+			return samples{}, err
+		}
 		net.RunUntil(t)
 		cur := rolesOf(net)
 		if !equalRoles(prev, cur) {
@@ -93,7 +90,7 @@ func convergenceTime(cfg simnet.Config) (float64, int, error) {
 			break
 		}
 	}
-	return lastChange, net.Topology().Diameter(), nil
+	return samples{{lastChange}, {float64(net.Topology().Diameter())}}, nil
 }
 
 type roleState struct {

@@ -156,7 +156,10 @@ func Fig6a(ctx context.Context, r Runner) (*Result, error) { return fig6(ctx, r,
 func Fig6b(ctx context.Context, r Runner) (*Result, error) { return fig6(ctx, r, "fig6b", 30) }
 
 // Table1 echoes the paper's simulation-parameter table (no simulation).
-func Table1(context.Context, Runner) (*Result, error) {
+func Table1(ctx context.Context, _ Runner) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID:    "table1",
 		Title: "Table 1: simulation parameters",

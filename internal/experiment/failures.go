@@ -3,84 +3,31 @@ package experiment
 import (
 	"context"
 	"fmt"
-
-	"mobic/internal/cluster"
-	"mobic/internal/scenario"
-	"mobic/internal/simnet"
 )
 
-// Failures is the decapitation study: at t = 300 s the ten lowest-ID nodes
-// crash permanently. Under Lowest-ID/LCC those are precisely the nodes
-// holding most clusterhead roles, so the crash beheads the hierarchy; under
-// MOBIC headship is uncorrelated with ID. The per-window churn timeline
-// shows the reclustering storm each algorithm suffers and how fast it
-// settles — a failure mode the paper never tests but any deployment would.
+// Failures is the decapitation study: at t = 300 s (a third of the run when
+// that is shorter) the ten lowest-ID nodes crash permanently. Under
+// Lowest-ID/LCC those are precisely the nodes holding most clusterhead
+// roles, so the crash beheads the hierarchy; under MOBIC headship is
+// uncorrelated with ID. The per-window churn timeline shows the
+// reclustering storm each algorithm suffers and how fast it settles — a
+// failure mode the paper never tests but any deployment would.
 func Failures(ctx context.Context, r Runner) (*Result, error) {
-	r = r.withDefaults()
-	const window = 60.0
-	const failAt = 300.0
 	const victims = 10
-
-	algs := []cluster.Algorithm{cluster.LCC, cluster.MOBIC}
-	series := make([]Series, len(algs))
-	var xs []float64
-	for ai, alg := range algs {
-		var sums []float64
-		for s := 0; s < r.Seeds; s++ {
-			p := scenario.Base(150)
-			p.Seed = r.BaseSeed + uint64(s)
-			cfg, err := p.Config(alg)
-			if err != nil {
-				return nil, err
-			}
-			cfg.TimelineWindow = window
-			for v := int32(0); v < victims; v++ {
-				cfg.Failures = append(cfg.Failures, simnet.NodeFailure{Node: v, At: failAt})
-			}
-			if r.Mutate != nil {
-				r.Mutate(&cfg)
-			}
-			net, err := simnet.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := net.RunContext(ctx); err != nil {
-				return nil, err
-			}
-			windows, _ := net.Timeline()
-			for len(sums) < len(windows) {
-				sums = append(sums, 0)
-			}
-			for i, c := range windows {
-				sums[i] += float64(c)
-			}
-		}
-		for i := range sums {
-			sums[i] /= float64(r.Seeds)
-		}
-		series[ai] = Series{Name: alg.Name, Y: sums}
-		if len(sums) > len(xs) {
-			xs = xs[:0]
-			for i := range sums {
-				xs = append(xs, window/2+float64(i)*window)
-			}
-		}
-	}
-	for i := range series {
-		for len(series[i].Y) < len(xs) {
-			series[i].Y = append(series[i].Y, 0)
-		}
+	xs, series, crashAt, err := churnTimeline(ctx, r, victims)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		ID:     "failures",
-		Title:  fmt.Sprintf("Decapitation: %d lowest-ID nodes crash at t=%.0f s (Tx 150 m)", victims, failAt),
+		Title:  fmt.Sprintf("Decapitation: %d lowest-ID nodes crash at t=%.0f s (Tx 150 m)", victims, crashAt),
 		XLabel: "simulated time (s)",
 		YLabel: "clusterhead changes per 60 s window",
 		X:      xs,
 		Series: series,
 		Notes: []string{
 			"Under Lowest-ID the victims are the head set; under MOBIC headship",
-			"is ID-independent. Watch the window containing t=300.",
+			fmt.Sprintf("is ID-independent. Watch the window containing t=%.0f.", crashAt),
 		},
 	}, nil
 }

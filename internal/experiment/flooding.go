@@ -2,39 +2,32 @@ package experiment
 
 import (
 	"context"
+
 	"mobic/internal/cluster"
 	"mobic/internal/routing"
 	"mobic/internal/scenario"
 	"mobic/internal/simnet"
-	"mobic/internal/stats"
 )
 
 // Flooding regenerates the A9 motivation experiment: the per-flood
 // transmission count of flat flooding vs cluster-based flooding on MOBIC's
 // clusters, sampled over the run at each transmission range.
 func Flooding(ctx context.Context, r Runner) (*Result, error) {
-	r = r.withDefaults()
 	xs := scenario.TxSweep()
+	cells := make([]Cell, len(xs))
+	for xi, tx := range xs {
+		cells[xi] = Cell{Params: scenario.Base(tx), Algorithm: cluster.MOBIC}
+	}
+	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells), floodSamples, nil)
+	if err != nil {
+		return nil, err
+	}
 	flat := Series{Name: "flat-flood", Y: make([]float64, len(xs))}
 	clustered := Series{Name: "cluster-flood", Y: make([]float64, len(xs))}
 	coverage := Series{Name: "cluster-coverage(%)", Y: make([]float64, len(xs))}
-
-	for xi, tx := range xs {
-		var flatAcc, clusAcc, covAcc stats.Accumulator
-		for s := 0; s < r.Seeds; s++ {
-			p := scenario.Base(tx)
-			p.Seed = r.BaseSeed + uint64(s)
-			cfg, err := p.Config(cluster.MOBIC)
-			if err != nil {
-				return nil, err
-			}
-			if err := floodSamples(cfg, &flatAcc, &clusAcc, &covAcc); err != nil {
-				return nil, err
-			}
-		}
-		flat.Y[xi] = flatAcc.Mean()
-		clustered.Y[xi] = clusAcc.Mean()
-		coverage.Y[xi] = 100 * covAcc.Mean()
+	for xi := range xs {
+		m := meanOf(reps[xi])
+		flat.Y[xi], clustered.Y[xi], coverage.Y[xi] = m[0], m[1], 100*m[2]
 	}
 	return &Result{
 		ID:     "flooding",
@@ -51,13 +44,18 @@ func Flooding(ctx context.Context, r Runner) (*Result, error) {
 }
 
 // floodSamples runs one scenario, pausing every 100 s to flood from node 0
-// over the instantaneous topology and cluster structure.
-func floodSamples(cfg simnet.Config, flatAcc, clusAcc, covAcc *stats.Accumulator) error {
+// over the instantaneous topology and cluster structure. It returns the
+// flat and clustered transmission counts and the clustered coverage.
+func floodSamples(ctx context.Context, _ int, cfg simnet.Config) (samples, error) {
+	var out samples
 	net, err := simnet.New(cfg)
 	if err != nil {
-		return err
+		return out, err
 	}
 	for t := 100.0; t <= cfg.Duration; t += 100 {
+		if err := ctx.Err(); err != nil {
+			return out, err
+		}
 		net.RunUntil(t)
 		topo := net.Topology()
 		snap := net.Snapshot()
@@ -67,17 +65,17 @@ func floodSamples(cfg simnet.Config, flatAcc, clusAcc, covAcc *stats.Accumulator
 		}
 		ff, err := routing.FlatFlood(topo, 0)
 		if err != nil {
-			return err
+			return out, err
 		}
 		cf, err := routing.ClusterFlood(topo, heads, 0)
 		if err != nil {
-			return err
+			return out, err
 		}
-		flatAcc.Add(float64(ff.Transmissions))
-		clusAcc.Add(float64(cf.Transmissions))
+		out[0] = append(out[0], float64(ff.Transmissions))
+		out[1] = append(out[1], float64(cf.Transmissions))
 		if ff.Reached > 0 {
-			covAcc.Add(float64(cf.Reached) / float64(ff.Reached))
+			out[2] = append(out[2], float64(cf.Reached)/float64(ff.Reached))
 		}
 	}
-	return nil
+	return out, nil
 }

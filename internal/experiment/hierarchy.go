@@ -2,11 +2,11 @@ package experiment
 
 import (
 	"context"
+
 	"mobic/internal/cluster"
 	"mobic/internal/hier"
 	"mobic/internal/scenario"
 	"mobic/internal/simnet"
-	"mobic/internal/stats"
 )
 
 // Hierarchy quantifies the paper's scalability motivation: across the Tx
@@ -17,31 +17,21 @@ import (
 //   - the cluster-graph diameter (route length in cluster hops), and
 //   - cluster-graph edge churn per sample interval (structural stability).
 func Hierarchy(ctx context.Context, r Runner) (*Result, error) {
-	r = r.withDefaults()
 	xs := scenario.TxSweep()
+	cells := make([]Cell, len(xs))
+	for xi, tx := range xs {
+		cells[xi] = Cell{Params: scenario.Base(tx), Algorithm: cluster.MOBIC}
+	}
+	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells), hierarchySamples, nil)
+	if err != nil {
+		return nil, err
+	}
 	reduction := Series{Name: "state-reduction-x", Y: make([]float64, len(xs))}
 	diameter := Series{Name: "cluster-diameter", Y: make([]float64, len(xs))}
 	churn := Series{Name: "edge-churn/interval", Y: make([]float64, len(xs))}
-
-	for xi, tx := range xs {
-		var redAcc, diamAcc, churnAcc stats.Accumulator
-		for s := 0; s < r.Seeds; s++ {
-			p := scenario.Base(tx)
-			p.Seed = r.BaseSeed + uint64(s)
-			cfg, err := p.Config(cluster.MOBIC)
-			if err != nil {
-				return nil, err
-			}
-			if r.Mutate != nil {
-				r.Mutate(&cfg)
-			}
-			if err := hierarchySamples(cfg, &redAcc, &diamAcc, &churnAcc); err != nil {
-				return nil, err
-			}
-		}
-		reduction.Y[xi] = redAcc.Mean()
-		diameter.Y[xi] = diamAcc.Mean()
-		churn.Y[xi] = churnAcc.Mean()
+	for xi := range xs {
+		m := meanOf(reps[xi])
+		reduction.Y[xi], diameter.Y[xi], churn.Y[xi] = m[0], m[1], m[2]
 	}
 	return &Result{
 		ID:     "hierarchy",
@@ -58,13 +48,20 @@ func Hierarchy(ctx context.Context, r Runner) (*Result, error) {
 	}, nil
 }
 
-func hierarchySamples(cfg simnet.Config, redAcc, diamAcc, churnAcc *stats.Accumulator) error {
+// hierarchySamples runs one scenario, sampling the cluster graph every 30 s
+// from t = 60 s. It returns the routing-state reductions, the cluster-graph
+// diameters and the edge churn between successive samples.
+func hierarchySamples(ctx context.Context, _ int, cfg simnet.Config) (samples, error) {
+	var out samples
 	net, err := simnet.New(cfg)
 	if err != nil {
-		return err
+		return out, err
 	}
 	var prev *hier.ClusterGraph
 	for t := 60.0; t <= cfg.Duration; t += 30 {
+		if err := ctx.Err(); err != nil {
+			return out, err
+		}
 		net.RunUntil(t)
 		snap := net.Snapshot()
 		aff := make([]int32, len(snap))
@@ -73,17 +70,17 @@ func hierarchySamples(cfg simnet.Config, redAcc, diamAcc, churnAcc *stats.Accumu
 		}
 		cg, err := hier.Build(net.Topology(), aff)
 		if err != nil {
-			return err
+			return out, err
 		}
 		flat, hierState := cg.RoutingState()
 		if hierState > 0 {
-			redAcc.Add(float64(flat) / float64(hierState))
+			out[0] = append(out[0], float64(flat)/float64(hierState))
 		}
-		diamAcc.Add(float64(cg.Diameter()))
+		out[1] = append(out[1], float64(cg.Diameter()))
 		if prev != nil {
-			churnAcc.Add(float64(hier.EdgeChurn(prev, cg)))
+			out[2] = append(out[2], float64(hier.EdgeChurn(prev, cg)))
 		}
 		prev = cg
 	}
-	return nil
+	return out, nil
 }

@@ -10,7 +10,6 @@ import (
 	"mobic/internal/routing"
 	"mobic/internal/scenario"
 	"mobic/internal/simnet"
-	"mobic/internal/stats"
 )
 
 // networkProvider adapts a live simulation to routing.SnapshotProvider.
@@ -37,9 +36,18 @@ func (p *networkProvider) TopologyAt(t float64) (*graph.Adjacency, []int32, erro
 //     node pairs (probed every 5 s until the route breaks), and
 //   - the mean route-request discovery cost over the cluster backbone.
 func Routes(ctx context.Context, r Runner) (*Result, error) {
-	r = r.withDefaults()
 	xs := []float64{100, 150, 200, 250}
 	algs := []cluster.Algorithm{cluster.LCC, cluster.MOBIC}
+	var cells []Cell
+	for _, alg := range algs {
+		for _, tx := range xs {
+			cells = append(cells, Cell{Params: scenario.Base(tx), Algorithm: alg})
+		}
+	}
+	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells), routeSamples, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	life := make([]Series, len(algs))
 	clusterLife := make([]Series, len(algs))
@@ -48,25 +56,9 @@ func Routes(ctx context.Context, r Runner) (*Result, error) {
 		life[ai] = Series{Name: alg.Name + "-route-life(s)", Y: make([]float64, len(xs))}
 		clusterLife[ai] = Series{Name: alg.Name + "-cluster-route-life(s)", Y: make([]float64, len(xs))}
 		cost[ai] = Series{Name: alg.Name + "-rreq-cost", Y: make([]float64, len(xs))}
-		for xi, tx := range xs {
-			var lifeAcc, clusterAcc, costAcc stats.Accumulator
-			for s := 0; s < r.Seeds; s++ {
-				p := scenario.Base(tx)
-				p.Seed = r.BaseSeed + uint64(s)
-				cfg, err := p.Config(alg)
-				if err != nil {
-					return nil, err
-				}
-				if r.Mutate != nil {
-					r.Mutate(&cfg)
-				}
-				if err := routeSamples(cfg, &lifeAcc, &clusterAcc, &costAcc); err != nil {
-					return nil, err
-				}
-			}
-			life[ai].Y[xi] = lifeAcc.Mean()
-			clusterLife[ai].Y[xi] = clusterAcc.Mean()
-			cost[ai].Y[xi] = costAcc.Mean()
+		for xi := range xs {
+			m := meanOf(reps[ai*len(xs)+xi])
+			life[ai].Y[xi], clusterLife[ai].Y[xi], cost[ai].Y[xi] = m[0], m[1], m[2]
 		}
 	}
 	return &Result{
@@ -92,16 +84,20 @@ func Routes(ctx context.Context, r Runner) (*Result, error) {
 
 // routeSamples runs one scenario, discovering fresh routes at fixed epochs
 // between seeded random pairs and measuring node-route lifetimes,
-// cluster-route lifetimes, and discovery costs.
-func routeSamples(cfg simnet.Config, lifeAcc, clusterAcc, costAcc *stats.Accumulator) error {
+// cluster-route lifetimes, and discovery costs, in that order.
+func routeSamples(ctx context.Context, _ int, cfg simnet.Config) (samples, error) {
+	var out samples
 	net, err := simnet.New(cfg)
 	if err != nil {
-		return err
+		return out, err
 	}
 	provider := &networkProvider{net: net}
 	pairRng := rand.New(rand.NewPCG(cfg.Seed, 0x707e5))
 	const probe = 5.0
 	for start := 60.0; start+60 <= cfg.Duration; start += 120 {
+		if err := ctx.Err(); err != nil {
+			return out, err
+		}
 		src := int32(pairRng.IntN(cfg.N))
 		dst := int32(pairRng.IntN(cfg.N))
 		if src == dst {
@@ -109,19 +105,19 @@ func routeSamples(cfg simnet.Config, lifeAcc, clusterAcc, costAcc *stats.Accumul
 		}
 		g, heads, err := provider.TopologyAt(start)
 		if err != nil {
-			return err
+			return out, err
 		}
 		c, err := routing.DiscoveryCost(g, heads, src, true)
 		if err != nil {
-			return err
+			return out, err
 		}
-		costAcc.Add(float64(c))
+		out[2] = append(out[2], float64(c))
 
 		// Discover both route kinds at the same instant.
 		npath, nerr := routing.BackbonePath(g, heads, src, dst)
 		cg, err := hier.Build(g, heads)
 		if err != nil {
-			return err
+			return out, err
 		}
 		cpath, cerr := cg.Path(clusterOf(heads, src), clusterOf(heads, dst))
 		if nerr != nil && cerr != nil {
@@ -135,7 +131,7 @@ func routeSamples(cfg simnet.Config, lifeAcc, clusterAcc, costAcc *stats.Accumul
 		for t := start + probe; t <= start+60 && (nodeAlive || clusterAlive); t += probe {
 			g, heads, err := provider.TopologyAt(t)
 			if err != nil {
-				return err
+				return out, err
 			}
 			if nodeAlive {
 				if npath.Valid(g) {
@@ -147,7 +143,7 @@ func routeSamples(cfg simnet.Config, lifeAcc, clusterAcc, costAcc *stats.Accumul
 			if clusterAlive {
 				cg, err := hier.Build(g, heads)
 				if err != nil {
-					return err
+					return out, err
 				}
 				if cg.PathValid(cpath) {
 					clusterLife = t - start
@@ -157,13 +153,13 @@ func routeSamples(cfg simnet.Config, lifeAcc, clusterAcc, costAcc *stats.Accumul
 			}
 		}
 		if nerr == nil {
-			lifeAcc.Add(nodeLife)
+			out[0] = append(out[0], nodeLife)
 		}
 		if cerr == nil {
-			clusterAcc.Add(clusterLife)
+			out[1] = append(out[1], clusterLife)
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // clusterOf maps a node to its cluster identifier (its own id when

@@ -98,32 +98,10 @@ type CellStats struct {
 	Raw []metrics.Result `json:"raw,omitempty"`
 }
 
-// cellJob is one (cell index, replication) unit of work.
-type cellJob struct {
-	cell int
-	rep  int
-	seed uint64
-	cfg  simnet.Config
-}
-
-// checkpointEntry is one pending Checkpoint callback: a newly completed
-// cell of the contiguous frontier waiting to be delivered outside the
-// aggregation lock.
-type checkpointEntry struct {
-	cell  int
-	stats CellStats
-}
-
 // RunCells executes every (params, algorithm) cell over all seeds, in
-// parallel, and aggregates per cell. make(cfg) materializes a cell's config
-// for one seed. Results are ordered like the inputs.
-//
-// Cancellation: when ctx is canceled or times out, in-flight simulations
-// stop at the next scheduler chunk, queued work is skipped, and RunCells
-// returns ctx.Err() — this is how service jobs abort promptly. The first
-// worker error cancels the sweep the same way: remaining queued jobs are
-// skipped instead of burning CPU on a result that will be discarded, and
-// the first error is returned.
+// parallel, and aggregates per cell. Results are ordered like the inputs.
+// It is the replication pool (see replicate) plus the per-cell aggregate and
+// the checkpoint frontier.
 //
 // Checkpoint/restart: with StartCell > 0 the first StartCell cells are not
 // simulated — their stats come from Resume — and Checkpoint (when set)
@@ -134,24 +112,77 @@ func (r Runner) RunCells(ctx context.Context, cells []Cell) ([]CellStats, error)
 	if r.StartCell < 0 || r.StartCell > len(cells) {
 		return nil, fmt.Errorf("experiment: start cell %d outside [0, %d]", r.StartCell, len(cells))
 	}
+	out := make([]CellStats, len(cells))
+	copy(out[:r.StartCell], r.Resume)
+	if r.StartCell > 0 {
+		r.Obs.Add(obs.ExpCellsResumed, int64(r.StartCell))
+	}
+	_, err := replicate(ctx, r, r.StartCell, len(cells), cellConfig(cells), runMetrics,
+		func(ci int, reps []metrics.Result) {
+			out[ci] = aggregate(reps)
+			if r.Checkpoint != nil {
+				r.Checkpoint(ci, out[ci])
+			}
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-	// runCtx aborts the whole sweep on the first worker error; the caller's
-	// ctx still governs external cancellation.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
+// runMetrics is RunCells' replication: one plain simulation run.
+func runMetrics(ctx context.Context, _ int, cfg simnet.Config) (metrics.Result, error) {
+	net, err := simnet.New(cfg)
+	if err != nil {
+		return metrics.Result{}, err
+	}
+	res, err := net.RunContext(ctx)
+	if err != nil {
+		return metrics.Result{}, err
+	}
+	return res.Metrics, nil
+}
 
-	var jobs []cellJob
-	for ci := r.StartCell; ci < len(cells); ci++ {
-		c := cells[ci]
+// replicate is the one cell × seed replication pool behind every
+// experiment. For each cell in [first, n) and each seed BaseSeed+s it
+// materializes config(cell, seed), applies r.Mutate, injects r.Obs
+// (a config that carries its own recorder keeps it), and runs rep on it,
+// r.Workers at a time. Replications are stored by seed index, not
+// completion order, so a caller that folds them in seed order gets the
+// same floats at any worker count.
+//
+// Cancellation: when ctx is canceled or times out, in-flight replications
+// stop (rep must honour its ctx), queued work is skipped, and replicate
+// returns an error wrapping ctx.Err(). The first failed replication cancels
+// the rest the same way, and its error is returned.
+//
+// Progress counts replications over the whole sweep, from first×Seeds to
+// n×Seeds. cellDone, when set, receives each cell's replications once they
+// and every earlier cell's have finished. Progress and cellDone calls are
+// serialized, in order, and made outside the pool's lock by whichever worker
+// finds them pending, so a slow callback (a per-cell fsync, say) delays only
+// that worker while the rest keep simulating.
+func replicate[T any](
+	ctx context.Context,
+	r Runner,
+	first, n int,
+	config func(cell int, seed uint64) (simnet.Config, error),
+	rep func(ctx context.Context, cell int, cfg simnet.Config) (T, error),
+	cellDone func(cell int, reps []T),
+) ([][]T, error) {
+	r = r.withDefaults()
+	type job struct {
+		cell, rep int
+		seed      uint64
+		cfg       simnet.Config
+	}
+	var jobs []job
+	for ci := first; ci < n; ci++ {
 		for s := 0; s < r.Seeds; s++ {
-			p := c.Params
-			p.Seed = r.BaseSeed + uint64(s)
-			cfg, err := p.Config(c.Algorithm)
+			seed := r.BaseSeed + uint64(s)
+			cfg, err := config(ci, seed)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: cell %d: %w", ci, err)
-			}
-			if c.Mutate != nil {
-				c.Mutate(&cfg)
 			}
 			if r.Mutate != nil {
 				r.Mutate(&cfg)
@@ -159,89 +190,74 @@ func (r Runner) RunCells(ctx context.Context, cells []Cell) ([]CellStats, error)
 			if cfg.Obs == nil {
 				cfg.Obs = r.Obs
 			}
-			jobs = append(jobs, cellJob{cell: ci, rep: s, seed: p.Seed, cfg: cfg})
+			jobs = append(jobs, job{cell: ci, rep: s, seed: seed, cfg: cfg})
 		}
 	}
 
-	out := make([]CellStats, len(cells))
-	for ci := 0; ci < r.StartCell && ci < len(r.Resume); ci++ {
-		out[ci] = r.Resume[ci]
-	}
-	if r.StartCell > 0 {
-		r.Obs.Add(obs.ExpCellsResumed, int64(r.StartCell))
-	}
+	// runCtx aborts the whole sweep on the first failure; the caller's ctx
+	// still governs external cancellation.
+	runCtx, cancelRun := context.WithCancel(ctx)
+	defer cancelRun()
 	instrumented := r.Obs.Enabled()
-
-	// Replications are stored by seed index, not completion order, so the
-	// per-cell aggregation is deterministic regardless of worker count.
-	results := make([][]metrics.Result, len(cells))
-	counts := make([]int, len(cells))
-	completed := make([]bool, len(cells))
-	for ci := r.StartCell; ci < len(cells); ci++ {
-		results[ci] = make([]metrics.Result, r.Seeds)
+	results := make([][]T, n)
+	counts := make([]int, n)
+	for ci := first; ci < n; ci++ {
+		results[ci] = make([]T, r.Seeds)
 	}
 	var (
 		mu       sync.Mutex
 		firstErr error
-		done     int
-		frontier = r.StartCell
+		done     = first * r.Seeds
+		total    = n * r.Seeds
+		frontier = first
 		wg       sync.WaitGroup
-		// Checkpoint delivery is decoupled from the aggregation lock:
-		// frontier advances enqueue cells under mu (so the queue carries
-		// the strictly increasing frontier order), and whichever worker
-		// finds entries pending drains them after unlocking. cpDraining
-		// makes the drain single-flight, which keeps callbacks serialized
-		// and in order while every other worker keeps simulating instead
-		// of stalling behind a slow callback (a per-cell fsync, say).
-		cpQueue    []checkpointEntry
-		cpDraining bool
+		// outbox holds the pending Progress and cellDone calls, appended
+		// under mu in the order they happened. draining makes delivery
+		// single-flight, which keeps the calls serialized and in order.
+		outbox   []func()
+		draining bool
 	)
-	// drainCheckpoints delivers pending checkpoints in order. Callers must
-	// not hold mu. If another worker is already draining, it returns at
-	// once — the active drainer re-checks the queue before finishing, so
-	// nothing is stranded.
-	drainCheckpoints := func() {
+	// drain delivers pending calls in order. Callers must not hold mu. If
+	// another worker is already draining, it returns at once — the active
+	// drainer re-checks the outbox before finishing, so nothing is stranded.
+	drain := func() {
 		mu.Lock()
-		if cpDraining {
+		if draining {
 			mu.Unlock()
 			return
 		}
-		cpDraining = true
-		for len(cpQueue) > 0 {
-			batch := cpQueue
-			cpQueue = nil
+		draining = true
+		for len(outbox) > 0 {
+			batch := outbox
+			outbox = nil
 			mu.Unlock()
-			for _, e := range batch {
-				r.Checkpoint(e.cell, e.stats)
+			for _, call := range batch {
+				call()
 			}
 			mu.Lock()
 		}
-		cpDraining = false
+		draining = false
 		mu.Unlock()
 	}
-	jobCh := make(chan cellJob)
+	jobCh := make(chan job)
 	for w := 0; w < r.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for job := range jobCh {
 				err := runCtx.Err()
-				var res *simnet.Result
-				var cellStart time.Time
+				var res T
+				var start time.Time
 				if instrumented {
-					cellStart = time.Now()
+					start = time.Now()
 				}
 				if err == nil {
-					var net *simnet.Network
-					net, err = simnet.New(job.cfg)
-					if err == nil {
-						res, err = net.RunContext(runCtx)
-					}
+					res, err = rep(runCtx, job.cell, job.cfg)
 				}
 				if instrumented && err == nil {
-					cellEnd := time.Now()
-					r.Obs.Observe(obs.ExpCellSeconds, cellEnd.Sub(cellStart).Seconds())
-					r.Obs.Span(obs.SpanCell, cellStart.UnixNano(), cellEnd.UnixNano())
+					end := time.Now()
+					r.Obs.Observe(obs.ExpCellSeconds, end.Sub(start).Seconds())
+					r.Obs.Span(obs.SpanCell, start.UnixNano(), end.UnixNano())
 				}
 				mu.Lock()
 				if err != nil {
@@ -253,36 +269,31 @@ func (r Runner) RunCells(ctx context.Context, cells []Cell) ([]CellStats, error)
 						cancelRun()
 					}
 				} else {
-					results[job.cell][job.rep] = res.Metrics
+					results[job.cell][job.rep] = res
 					counts[job.cell]++
 					if counts[job.cell] == r.Seeds {
-						out[job.cell] = aggregate(results[job.cell])
-						completed[job.cell] = true
 						r.Obs.Add(obs.ExpCellsCompleted, 1)
-						// Advance the contiguous completed prefix; cells
-						// finish out of order, checkpoints never do.
-						for frontier < len(cells) && completed[frontier] {
-							if r.Checkpoint != nil {
-								cpQueue = append(cpQueue, checkpointEntry{frontier, out[frontier]})
-							}
-							frontier++
+					}
+					// Advance the contiguous completed prefix; cells
+					// finish out of order, cellDone calls never do.
+					for frontier < n && counts[frontier] == r.Seeds {
+						if cellDone != nil {
+							ci := frontier
+							outbox = append(outbox, func() { cellDone(ci, results[ci]) })
 						}
+						frontier++
 					}
 				}
 				done++
-				progress := r.Progress
-				total := len(jobs)
 				d := done
-				mu.Unlock()
-				if total > 0 {
+				outbox = append(outbox, func() {
 					r.Obs.Set(obs.ExpProgress, float64(d)/float64(total))
-				}
-				if r.Checkpoint != nil {
-					drainCheckpoints()
-				}
-				if progress != nil {
-					progress(d, total)
-				}
+					if r.Progress != nil {
+						r.Progress(d, total)
+					}
+				})
+				mu.Unlock()
+				drain()
 			}
 		}()
 	}
@@ -294,7 +305,23 @@ func (r Runner) RunCells(ctx context.Context, cells []Cell) ([]CellStats, error)
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return out, nil
+	return results, nil
+}
+
+// cellConfig is replicate's config for a list of Cells: the cell's Params
+// at the seed, run by its Algorithm, then its own Mutate (replicate applies
+// the Runner's after).
+func cellConfig(cells []Cell) func(int, uint64) (simnet.Config, error) {
+	return func(ci int, seed uint64) (simnet.Config, error) {
+		c := cells[ci]
+		p := c.Params
+		p.Seed = seed
+		cfg, err := p.Config(c.Algorithm)
+		if err == nil && c.Mutate != nil {
+			c.Mutate(&cfg)
+		}
+		return cfg, err
+	}
 }
 
 // Cell is one sweep point: a scenario and an algorithm, with an optional
@@ -358,4 +385,22 @@ type Result struct {
 	Series []Series `json:"series,omitempty"`
 	// Notes carries free-form observations (shape checks, coverage...).
 	Notes []string `json:"notes,omitempty"`
+}
+
+// samples holds what one replication measured for up to three series.
+type samples [3][]float64
+
+// meanOf folds one cell's replications in seed order, so every float sum
+// is the serial loop's: m[k] is the mean of every seed's samples of series k.
+func meanOf(reps []samples) (m [3]float64) {
+	for k := range m {
+		var acc stats.Accumulator
+		for _, s := range reps {
+			for _, x := range s[k] {
+				acc.Add(x)
+			}
+		}
+		m[k] = acc.Mean()
+	}
+	return m
 }

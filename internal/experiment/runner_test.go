@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -269,10 +271,7 @@ func TestLossExperimentSmall(t *testing.T) {
 }
 
 func TestFloodingExperimentStructure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("flooding sweep is slow")
-	}
-	// Run a reduced flooding experiment by hand: one tx, one seed.
+	// fastRunner's Mutate trims every flooding replication.
 	r := fastRunner(1)
 	res, err := Flooding(context.Background(), r)
 	if err != nil {
@@ -517,6 +516,141 @@ func TestPoliciesExperimentSmall(t *testing.T) {
 	for _, n := range res.Notes {
 		if !strings.Contains(n, "head-duty fairness") {
 			t.Errorf("note %q missing the fairness metric", n)
+		}
+	}
+}
+
+// Every experiment runs through the one replication pool, so every one
+// must honour the Runner the same way: a canceled context fails it, its
+// progress reaches the full count, its output does not depend on Workers,
+// and r.Mutate reaches every replication that runs.
+func TestEveryExperimentHonoursRunner(t *testing.T) {
+	for _, d := range All() {
+		t.Run(d.ID, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := d.Run(ctx, fastRunner(1)); !errors.Is(err, context.Canceled) {
+				t.Errorf("pre-canceled context: err = %v, want context.Canceled", err)
+			}
+
+			var outputs [][]byte
+			for _, workers := range []int{1, 4} {
+				var (
+					mu        sync.Mutex
+					ran       []*atomic.Bool
+					calls     int
+					lastDone  int
+					lastTotal int
+				)
+				r := Runner{
+					Seeds:   2,
+					Workers: workers,
+					Mutate: func(cfg *simnet.Config) {
+						// 120 s reaches flooding's and routes' first probe.
+						cfg.N = 15
+						cfg.Duration = 120
+						hit := new(atomic.Bool)
+						cfg.Observer = func(trace.Event) { hit.Store(true) }
+						mu.Lock()
+						ran = append(ran, hit)
+						mu.Unlock()
+					},
+					Progress: func(done, total int) {
+						mu.Lock()
+						defer mu.Unlock()
+						if done <= 0 || done > total {
+							t.Errorf("progress (%d, %d) out of range", done, total)
+						}
+						calls++
+						lastDone, lastTotal = done, total
+					},
+				}
+				res, err := d.Run(context.Background(), r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outputs = append(outputs, out)
+
+				mu.Lock()
+				if d.ID != "table1" { // echoes a table; runs no replication
+					if lastTotal == 0 || lastDone != lastTotal {
+						t.Errorf("workers=%d: last progress (%d, %d), want done == total > 0",
+							workers, lastDone, lastTotal)
+					}
+				}
+				if len(ran) != calls {
+					t.Errorf("workers=%d: Mutate called %d times for %d finished replications",
+						workers, len(ran), calls)
+				}
+				for i, hit := range ran {
+					if !hit.Load() {
+						t.Errorf("workers=%d: mutated config %d never ran", workers, i)
+					}
+				}
+				mu.Unlock()
+			}
+			if string(outputs[0]) != string(outputs[1]) {
+				t.Errorf("output differs between Workers 1 and 4:\n%s\n%s", outputs[0], outputs[1])
+			}
+		})
+	}
+}
+
+// A run shorter than the default crash time crashes the victims at a third
+// of the run instead of failing every replication.
+func TestFailuresShortDuration(t *testing.T) {
+	r := Runner{Seeds: 1, Mutate: func(cfg *simnet.Config) { cfg.Duration = 60 }}
+	res, err := Failures(context.Background(), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Title, "crash at t=20 s") {
+		t.Errorf("title %q, want the crash at t=20 s", res.Title)
+	}
+	if len(res.X) != 1 || len(res.Series) != 2 {
+		t.Errorf("failures shape: %d x, %d series, want 1 window x 2", len(res.X), len(res.Series))
+	}
+}
+
+// A resumed sweep counts progress over every cell, not only the cells it
+// re-runs: it starts past the resumed prefix and ends at the full count.
+func TestRunCellsResumedProgress(t *testing.T) {
+	var cells []Cell
+	for i := 0; i < 6; i++ {
+		cells = append(cells, Cell{Params: smallParams(100), Algorithm: cluster.MOBIC})
+	}
+	var (
+		mu    sync.Mutex
+		dones []int
+	)
+	r := Runner{
+		Seeds:     2,
+		Workers:   1,
+		StartCell: 3,
+		Resume:    make([]CellStats, 3),
+		Progress: func(done, total int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if total != 12 {
+				t.Errorf("total = %d, want 12 (6 cells x 2 seeds)", total)
+			}
+			dones = append(dones, done)
+		},
+	}
+	if _, err := r.RunCells(context.Background(), cells); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{7, 8, 9, 10, 11, 12}
+	if len(dones) != len(want) {
+		t.Fatalf("progress calls %v, want %v", dones, want)
+	}
+	for i := range want {
+		if dones[i] != want[i] {
+			t.Fatalf("progress calls %v, want %v", dones, want)
 		}
 	}
 }

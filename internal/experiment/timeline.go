@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"math"
+
 	"mobic/internal/cluster"
 	"mobic/internal/scenario"
 	"mobic/internal/simnet"
@@ -13,55 +15,9 @@ import (
 // numbers are maintenance churn, not formation artifacts, and makes the
 // stability gap visible window by window.
 func Timeline(ctx context.Context, r Runner) (*Result, error) {
-	r = r.withDefaults()
-	const window = 60.0
-	algs := []cluster.Algorithm{cluster.LCC, cluster.MOBIC}
-	series := make([]Series, len(algs))
-	var xs []float64
-	for ai, alg := range algs {
-		var sums []float64
-		for s := 0; s < r.Seeds; s++ {
-			p := scenario.Base(150)
-			p.Seed = r.BaseSeed + uint64(s)
-			cfg, err := p.Config(alg)
-			if err != nil {
-				return nil, err
-			}
-			cfg.TimelineWindow = window
-			if r.Mutate != nil {
-				r.Mutate(&cfg)
-			}
-			net, err := simnet.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := net.RunContext(ctx); err != nil {
-				return nil, err
-			}
-			windows, _ := net.Timeline()
-			for len(sums) < len(windows) {
-				sums = append(sums, 0)
-			}
-			for i, c := range windows {
-				sums[i] += float64(c)
-			}
-		}
-		for i := range sums {
-			sums[i] /= float64(r.Seeds)
-		}
-		series[ai] = Series{Name: alg.Name, Y: sums}
-		if len(sums) > len(xs) {
-			xs = xs[:0]
-			for i := range sums {
-				xs = append(xs, window/2+float64(i)*window)
-			}
-		}
-	}
-	// Pad the shorter series so both cover the same axis.
-	for i := range series {
-		for len(series[i].Y) < len(xs) {
-			series[i].Y = append(series[i].Y, 0)
-		}
+	xs, series, _, err := churnTimeline(ctx, r, 0)
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		ID:     "timeline",
@@ -75,4 +31,79 @@ func Timeline(ctx context.Context, r Runner) (*Result, error) {
 			"steady-state maintenance churn, where MOBIC's advantage lives.",
 		},
 	}, nil
+}
+
+// churnWindow is the width of churnTimeline's windows in seconds.
+const churnWindow = 60.0
+
+// churnTimeline runs LCC and MOBIC at Tx = 150 m and returns the mean
+// clusterhead changes per churnWindow, one series per algorithm, padded to
+// one time axis. With victims > 0, nodes 0..victims-1 crash permanently at
+// min(300 s, duration/3); crashAt reports that time.
+func churnTimeline(ctx context.Context, r Runner, victims int32) (xs []float64, series []Series, crashAt float64, err error) {
+	type churn struct {
+		windows []int
+		crashAt float64
+	}
+	algs := []cluster.Algorithm{cluster.LCC, cluster.MOBIC}
+	cells := make([]Cell, len(algs))
+	for ai, alg := range algs {
+		cells[ai] = Cell{
+			Params:    scenario.Base(150),
+			Algorithm: alg,
+			Mutate:    func(cfg *simnet.Config) { cfg.TimelineWindow = churnWindow },
+		}
+	}
+	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells),
+		func(ctx context.Context, _ int, cfg simnet.Config) (churn, error) {
+			var c churn
+			if victims > 0 {
+				c.crashAt = math.Min(300, cfg.Duration/3)
+				for v := int32(0); v < victims; v++ {
+					cfg.Failures = append(cfg.Failures, simnet.NodeFailure{Node: v, At: c.crashAt})
+				}
+			}
+			net, err := simnet.New(cfg)
+			if err != nil {
+				return c, err
+			}
+			if _, err := net.RunContext(ctx); err != nil {
+				return c, err
+			}
+			c.windows, _ = net.Timeline()
+			return c, nil
+		}, nil)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+
+	series = make([]Series, len(algs))
+	for ai, alg := range algs {
+		var sums []float64
+		for _, c := range reps[ai] {
+			for len(sums) < len(c.windows) {
+				sums = append(sums, 0)
+			}
+			for i, n := range c.windows {
+				sums[i] += float64(n)
+			}
+		}
+		for i := range sums {
+			sums[i] /= float64(len(reps[ai]))
+		}
+		series[ai] = Series{Name: alg.Name, Y: sums}
+		if len(sums) > len(xs) {
+			xs = xs[:0]
+			for i := range sums {
+				xs = append(xs, churnWindow/2+float64(i)*churnWindow)
+			}
+		}
+	}
+	// Pad the shorter series so both cover the same axis.
+	for i := range series {
+		for len(series[i].Y) < len(xs) {
+			series[i].Y = append(series[i].Y, 0)
+		}
+	}
+	return xs, series, reps[0][0].crashAt, nil
 }

@@ -157,6 +157,10 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	if st2.Attempt != 2 {
 		t.Errorf("attempt = %d, want 2 (one pre-crash, one post-recovery)", st2.Attempt)
 	}
+	// Progress counts the whole sweep, the two resumed cells included.
+	if st2.Done != 4 || st2.Total != 4 {
+		t.Errorf("resumed done/total = %d/%d, want 4/4", st2.Done, st2.Total)
+	}
 
 	// Byte-identical output: resume-equals-rerun.
 	refJSON, err := json.Marshal(refSt.Output)
