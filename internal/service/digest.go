@@ -13,7 +13,10 @@ import (
 // semantically different spec. v2 added the Tiles field (tiled-parallel
 // scheduler knob); v3 added the clustering-policy scenario fields (bi_min,
 // bi_max, energy_j): every v1/v2 cache entry misses cleanly under v3 keys.
-const specDigestVersion = "mobicspec3\n"
+// v4 changed what some specs compute, not their form: the flooding
+// experiment now honours a duration override, and the failures experiment
+// crashes its victims at min(300 s, duration/3).
+const specDigestVersion = "mobicspec4\n"
 
 // canonicalSpec is the normalized image of a JobSpec that Digest hashes.
 // It is a distinct struct — not JobSpec itself — so the wire format of

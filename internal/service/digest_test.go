@@ -48,6 +48,7 @@ var goldenSpecs = []struct{ name, spec string }{
 	{"sweep-include-raw", `{"sweep":{"scenario":{"n":50},"algorithms":["lcc"]},"include_raw":true,"duration":120}`},
 	{"experiment-fig3-tiled", `{"experiment":"fig3","tiles":8}`},
 	{"sweep-policies", `{"sweep":{"scenario":{"bi_min":0.5,"bi_max":4,"energy_j":12},"algorithms":["adaptive-lowest-id","mobic"]}}`},
+	{"experiment-flooding-duration", `{"experiment":"flooding","duration":300}`},
 }
 
 func TestSpecDigestGolden(t *testing.T) {
@@ -95,7 +96,8 @@ func TestSpecDigestGolden(t *testing.T) {
 
 // TestSpecDigestVersionMiss pins the cache-migration behavior of the digest
 // version bumps (mobicspec1 -> 2 added Tiles; 2 -> 3 added the clustering
-// policy fields): the digests the old canonicalizations produced — frozen
+// policy fields; 3 -> 4 moved flooding's and failures' output under a
+// duration override): the digests the old canonicalizations produced — frozen
 // here from their golden files — must never come out of the current Digest,
 // so every stale cache entry misses cleanly instead of being served for (or
 // colliding with) a current spec.
@@ -114,6 +116,15 @@ func TestSpecDigestVersionMiss(t *testing.T) {
 		{`{"sweep":{"scenario":{"n":50},"algorithms":["mobic","lowest-id"],"tx_ranges":[50,100,150]},"seeds":3}`, "5f30ef95f915d185bf96264fee292b882a7b3c8e004e735bdfbae7318e42fb37"},
 		{`{"sweep":{"scenario":{"n":50},"algorithms":["lcc"]},"include_raw":true,"duration":120}`, "17ed57bedda0c4abd078a24d0024499628b54982f0e9ef51216fe5732da32367"},
 		{`{"experiment":"fig3","tiles":8}`, "0fae8080218c4d0edf5f6863d359255df1c2f27fc177dc52725a369192a3218a"},
+		// mobicspec3
+		{`{"experiment":"fig3"}`, "a9c913b0ad113d38cbd6267057bf8451d260b1df3e1cf1d514b71ad847f77aac"},
+		{`{"experiment":"fig3","seeds":5,"base_seed":7}`, "6085d37ac506fc9ad3ee8f9266d153619a2bff39c439adc3e6c061565eb38d04"},
+		{`{"sweep":{"scenario":{},"algorithms":["mobic"]}}`, "bc16fa75d0535fe65d353bc8e39cc44c35ce0188714ec1a11a31475bcbc007e2"},
+		{`{"sweep":{"scenario":{"n":50},"algorithms":["mobic","lowest-id"],"tx_ranges":[50,100,150]},"seeds":3}`, "9dd4f578374826a47bc11eb286d8a4908a842569e4b074dd2e12aada6f10e1c2"},
+		{`{"sweep":{"scenario":{"n":50},"algorithms":["lcc"]},"include_raw":true,"duration":120}`, "8caa97d6d5adea35e1d2594667fdd4a78675d9fd5fe2f73f7a869ce711b4f0c7"},
+		{`{"experiment":"fig3","tiles":8}`, "74d63067e0205cd87596f6a1b306d295e3d3ae80ade078e3dcdd782eb13d15f1"},
+		{`{"sweep":{"scenario":{"bi_min":0.5,"bi_max":4,"energy_j":12},"algorithms":["adaptive-lowest-id","mobic"]}}`, "930c28da567f839d567bcb47cae40f8435eb4b5913e5afccaf44e61785b1b15d"},
+		{`{"experiment":"flooding","duration":300}`, "41f8a4cb3331ee6eb880506bdcc08b81f9d0079481885a8700a00a1c9d826af9"},
 	}
 	for _, c := range old {
 		if got := mustSpec(t, c.spec).Digest(); got == c.digest {
