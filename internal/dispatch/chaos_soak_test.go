@@ -1,8 +1,10 @@
 package dispatch
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -16,11 +18,13 @@ import (
 // TestChaosSoak is the sustained-fault gate run by scripts/check.sh under
 // the race detector: a replicated three-worker cluster takes ~10 seconds
 // of submissions while a probabilistic chaos schedule resets submits,
-// fails checkpoint-replication batches and injects latency — and a worker
-// is killed outright mid-soak. Its stream-cut rule fires only if a client
-// streams, and the soak polls status instead. Every job must still
-// converge to success, and the long-running job that straddles the kill
-// must finish byte-equal to an uninterrupted reference run.
+// fails checkpoint-replication batches, cuts stream bodies and injects
+// latency — and a worker is killed outright mid-soak. Every fourth soak job
+// is awaited through the coordinator's stream, whose upstream the cut rule
+// tears, and must deliver its result line exactly once; the rest are
+// polled. Every job must still converge to success, and the long-running
+// job that straddles the kill must finish byte-equal to an uninterrupted
+// reference run.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10s chaos soak")
@@ -108,7 +112,7 @@ func TestChaosSoak(t *testing.T) {
 	// soak window; each must converge despite resets, latency and the
 	// mid-soak failover running underneath.
 	soakUntil := time.Now().Add(10 * time.Second)
-	submitted := 0
+	submitted, streamed := 0, 0
 	for n := 20; time.Now().Before(soakUntil); n++ {
 		spec := service.JobSpec{
 			Seeds: 1,
@@ -118,10 +122,23 @@ func TestChaosSoak(t *testing.T) {
 			},
 		}
 		st, _ := submitSpec(t, srv.URL, spec)
-		fin, ok := pollTerminal(srv.URL, st.ID, 30*time.Second)
-		if !ok {
-			logStuckJob(t, coord, st.ID)
-			t.Fatalf("soak job %d (n=%d): %s not terminal within 30s", submitted, n, st.ID)
+		var fin service.Status
+		if submitted%4 == 0 {
+			var results int
+			var err error
+			fin, results, err = streamTerminal(srv.URL, st.ID, 30*time.Second)
+			if err != nil || results != 1 {
+				logStuckJob(t, coord, st.ID)
+				t.Fatalf("soak job %d (n=%d): %s streamed %d result lines (err %v), want exactly 1",
+					submitted, n, st.ID, results, err)
+			}
+			streamed++
+		} else {
+			var ok bool
+			if fin, ok = pollTerminal(srv.URL, st.ID, 30*time.Second); !ok {
+				logStuckJob(t, coord, st.ID)
+				t.Fatalf("soak job %d (n=%d): %s not terminal within 30s", submitted, n, st.ID)
+			}
 		}
 		if fin.State != service.StateSucceeded {
 			t.Fatalf("soak job %d (n=%d): %s (%s)", submitted, n, fin.State, fin.Error)
@@ -146,10 +163,46 @@ func TestChaosSoak(t *testing.T) {
 	if inj.Fired() < 1 {
 		t.Fatal("chaos schedule never fired during the soak")
 	}
-	if fired := inj.FiredByRule(); fired[1] < 1 { // the */replica/* rule
+	fired := inj.FiredByRule()
+	if fired[1] < 1 { // the */replica/* rule
 		t.Fatal("no replication batch failed during the soak")
 	}
-	t.Logf("soak: %d jobs converged, %d faults injected (per rule %v)", submitted, inj.Fired(), inj.FiredByRule())
+	if fired[2] < 1 { // the */stream rule
+		t.Fatalf("no stream was cut across %d streamed soak jobs", streamed)
+	}
+	t.Logf("soak: %d jobs converged (%d streamed), %d faults injected (per rule %v)",
+		submitted, streamed, inj.Fired(), fired)
+}
+
+// streamTerminal awaits a job through the coordinator's NDJSON stream,
+// reading it to the end within timeout. It returns the status the result
+// line carries and the number of result lines the stream delivered.
+func streamTerminal(base, id string, timeout time.Duration) (service.Status, int, error) {
+	client := &http.Client{Timeout: timeout}
+	resp, err := client.Get(base + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		return service.Status{}, 0, err
+	}
+	defer resp.Body.Close()
+	var (
+		fin     service.Status
+		results int
+	)
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
+		var ev service.StreamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return fin, results, fmt.Errorf("torn stream line %q: %w", sc.Bytes(), err)
+		}
+		if ev.Type == "result" {
+			results++
+			if ev.Stat != nil {
+				fin = *ev.Stat
+			}
+		}
+	}
+	return fin, results, sc.Err()
 }
 
 // logStuckJob logs what the coordinator knows about a job that missed its
