@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"slices"
+
 	"mobic/internal/cluster"
 	"mobic/internal/geom"
 	"mobic/internal/mobility"
@@ -82,7 +84,7 @@ func convergenceTime(ctx context.Context, _ int, cfg simnet.Config) (samples, er
 		}
 		net.RunUntil(t)
 		cur := rolesOf(net)
-		if !equalRoles(prev, cur) {
+		if !slices.Equal(prev, cur) {
 			lastChange = t
 		}
 		prev = cur
@@ -105,16 +107,4 @@ func rolesOf(net *simnet.Network) []roleState {
 		out[i] = roleState{role: s.Role, head: s.Head}
 	}
 	return out
-}
-
-func equalRoles(a, b []roleState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

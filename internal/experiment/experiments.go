@@ -52,15 +52,18 @@ func sweep(
 	}
 	series := make([]Series, len(variants))
 	for vi, v := range variants {
-		s := Series{Name: v.name, Y: make([]float64, len(xs)), CI: make([]float64, len(xs))}
-		for xi := range xs {
-			y, ci := project(statsPerCell[vi*len(xs)+xi])
-			s.Y[xi] = y
-			s.CI[xi] = ci
-		}
-		series[vi] = s
+		series[vi] = seriesOf(v.name, statsPerCell[vi*len(xs):(vi+1)*len(xs)], project)
 	}
 	return series, nil
+}
+
+// seriesOf projects consecutive cells, one per x value, onto one series.
+func seriesOf(name string, cells []CellStats, project func(CellStats) (y, ci float64)) Series {
+	s := Series{Name: name, Y: make([]float64, len(cells)), CI: make([]float64, len(cells))}
+	for i, c := range cells {
+		s.Y[i], s.CI[i] = project(c)
+	}
+	return s
 }
 
 func projectCH(cs CellStats) (float64, float64)  { return cs.CHChanges, cs.CHChangesCI }
@@ -342,21 +345,13 @@ func Loss(ctx context.Context, r Runner) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mkSeries := func(name string, offset int) Series {
-		s := Series{Name: name, Y: make([]float64, len(rates)), CI: make([]float64, len(rates))}
-		for i := range rates {
-			s.Y[i] = cs[offset+i].CHChanges
-			s.CI[i] = cs[offset+i].CHChangesCI
-		}
-		return s
-	}
 	return &Result{
 		ID:     "loss",
 		Title:  "A8: packet-loss robustness (Tx 150 m)",
 		XLabel: "uniform hello loss rate",
 		YLabel: "clusterhead changes / 900 s",
 		X:      rates,
-		Series: []Series{mkSeries("lcc", 0), mkSeries("mobic", len(rates))},
+		Series: []Series{seriesOf("lcc", cs[:len(rates)], projectCH), seriesOf("mobic", cs[len(rates):], projectCH)},
 	}, nil
 }
 
@@ -398,15 +393,11 @@ func AdaptiveBIExp(ctx context.Context, r Runner) (*Result, error) {
 	}
 	nx := len(scenario.SpeedSweep())
 	for vi, v := range variants {
-		s := Series{Name: v.name, Y: make([]float64, nx), CI: make([]float64, nx)}
-		for xi := 0; xi < nx; xi++ {
-			s.Y[xi] = cs[vi*nx+xi].CHChanges
-			s.CI[xi] = cs[vi*nx+xi].CHChangesCI
-		}
-		res.Series = append(res.Series, s)
-		for xi := 0; xi < nx; xi++ {
+		row := cs[vi*nx : (vi+1)*nx]
+		res.Series = append(res.Series, seriesOf(v.name, row, projectCH))
+		for xi, cell := range row {
 			res.Notes = append(res.Notes, fmt.Sprintf("%s at %g m/s: %.0f beacons",
-				v.name, scenario.SpeedSweep()[xi], cs[vi*nx+xi].Broadcasts))
+				v.name, scenario.SpeedSweep()[xi], cell.Broadcasts))
 		}
 	}
 	return res, nil
@@ -467,16 +458,13 @@ func Policies(ctx context.Context, r Runner) (*Result, error) {
 		X:      xs,
 	}
 	for ci, c := range curves {
-		s := Series{Name: c.name, Y: make([]float64, len(xs)), CI: make([]float64, len(xs))}
+		row := cs[ci*len(xs) : (ci+1)*len(xs)]
+		res.Series = append(res.Series, seriesOf(c.name, row, projectCH))
 		var fairness float64
-		for xi := range xs {
-			cell := cs[ci*len(xs)+xi]
-			s.Y[xi] = cell.CHChanges
-			s.CI[xi] = cell.CHChangesCI
+		for _, cell := range row {
 			f, _ := projectFairness(cell)
 			fairness += f
 		}
-		res.Series = append(res.Series, s)
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s: mean head-duty fairness %.3f across the sweep", c.name, fairness/float64(len(xs))))
 	}

@@ -53,15 +53,9 @@ func floodSamples(ctx context.Context, _ int, cfg simnet.Config) (samples, error
 		return out, err
 	}
 	for t := 100.0; t <= cfg.Duration; t += 100 {
-		if err := ctx.Err(); err != nil {
+		topo, heads, err := topologyAt(ctx, net, t)
+		if err != nil {
 			return out, err
-		}
-		net.RunUntil(t)
-		topo := net.Topology()
-		snap := net.Snapshot()
-		heads := make([]int32, len(snap))
-		for i, s := range snap {
-			heads[i] = s.Head
 		}
 		ff, err := routing.FlatFlood(topo, 0)
 		if err != nil {

@@ -59,16 +59,11 @@ func hierarchySamples(ctx context.Context, _ int, cfg simnet.Config) (samples, e
 	}
 	var prev *hier.ClusterGraph
 	for t := 60.0; t <= cfg.Duration; t += 30 {
-		if err := ctx.Err(); err != nil {
+		topo, heads, err := topologyAt(ctx, net, t)
+		if err != nil {
 			return out, err
 		}
-		net.RunUntil(t)
-		snap := net.Snapshot()
-		aff := make([]int32, len(snap))
-		for i, s := range snap {
-			aff[i] = s.Head
-		}
-		cg, err := hier.Build(net.Topology(), aff)
+		cg, err := hier.Build(topo, heads)
 		if err != nil {
 			return out, err
 		}

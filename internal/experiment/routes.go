@@ -12,20 +12,20 @@ import (
 	"mobic/internal/simnet"
 )
 
-// networkProvider adapts a live simulation to routing.SnapshotProvider.
-type networkProvider struct {
-	net *simnet.Network
-}
-
-// TopologyAt implements routing.SnapshotProvider.
-func (p *networkProvider) TopologyAt(t float64) (*graph.Adjacency, []int32, error) {
-	p.net.RunUntil(t)
-	snap := p.net.Snapshot()
+// topologyAt advances net to t and returns its topology and each node's
+// clusterhead. It is the probe epoch of the routing, flooding and
+// hierarchy experiments, so it is where they honour ctx.
+func topologyAt(ctx context.Context, net *simnet.Network, t float64) (*graph.Adjacency, []int32, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	net.RunUntil(t)
+	snap := net.Snapshot()
 	heads := make([]int32, len(snap))
 	for i, s := range snap {
 		heads[i] = s.Head
 	}
-	return p.net.Topology(), heads, nil
+	return net.Topology(), heads, nil
 }
 
 // Routes regenerates the A10 extension experiment: what the paper's closing
@@ -91,19 +91,15 @@ func routeSamples(ctx context.Context, _ int, cfg simnet.Config) (samples, error
 	if err != nil {
 		return out, err
 	}
-	provider := &networkProvider{net: net}
 	pairRng := rand.New(rand.NewPCG(cfg.Seed, 0x707e5))
 	const probe = 5.0
 	for start := 60.0; start+60 <= cfg.Duration; start += 120 {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
 		src := int32(pairRng.IntN(cfg.N))
 		dst := int32(pairRng.IntN(cfg.N))
 		if src == dst {
 			dst = (dst + 1) % int32(cfg.N)
 		}
-		g, heads, err := provider.TopologyAt(start)
+		g, heads, err := topologyAt(ctx, net, start)
 		if err != nil {
 			return out, err
 		}
@@ -129,7 +125,7 @@ func routeSamples(ctx context.Context, _ int, cfg simnet.Config) (samples, error
 		nodeLife, clusterLife := 0.0, 0.0
 		nodeAlive, clusterAlive := nerr == nil, cerr == nil
 		for t := start + probe; t <= start+60 && (nodeAlive || clusterAlive); t += probe {
-			g, heads, err := provider.TopologyAt(t)
+			g, heads, err := topologyAt(ctx, net, t)
 			if err != nil {
 				return out, err
 			}

@@ -34,21 +34,13 @@ func CCISweep(ctx context.Context, r Runner) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func(name string, offset int) Series {
-		s := Series{Name: name, Y: make([]float64, len(ccis)), CI: make([]float64, len(ccis))}
-		for i := range ccis {
-			s.Y[i] = cs[offset+i].CHChanges
-			s.CI[i] = cs[offset+i].CHChangesCI
-		}
-		return s
-	}
 	return &Result{
 		ID:     "cci-sweep",
 		Title:  "CCI sensitivity: MOBIC stability vs contention interval",
 		XLabel: "cluster contention interval (s)",
 		YLabel: "clusterhead changes / 900 s",
 		X:      ccis,
-		Series: []Series{mk("mobic-tx150", 0), mk("mobic-tx250", len(ccis))},
+		Series: []Series{seriesOf("mobic-tx150", cs[:len(ccis)], projectCH), seriesOf("mobic-tx250", cs[len(ccis):], projectCH)},
 		Notes: []string{
 			"Table 1 fixes CCI = 4 s; longer deferral forgives more transient",
 			"head contacts but delays legitimate merges.",
@@ -84,15 +76,12 @@ func BISweep(ctx context.Context, r Runner) (*Result, error) {
 		X:      bis,
 	}
 	for ai, alg := range algs {
-		s := Series{Name: alg.Name, Y: make([]float64, len(bis)), CI: make([]float64, len(bis))}
-		for i := range bis {
-			cell := cs[ai*len(bis)+i]
-			s.Y[i] = cell.CHChanges
-			s.CI[i] = cell.CHChangesCI
+		row := cs[ai*len(bis) : (ai+1)*len(bis)]
+		res.Series = append(res.Series, seriesOf(alg.Name, row, projectCH))
+		for i, cell := range row {
 			res.Notes = append(res.Notes, fmt.Sprintf("%-6s BI=%.1f s: %.0f beacons sent",
 				alg.Name, bis[i], cell.Broadcasts))
 		}
-		res.Series = append(res.Series, s)
 	}
 	return res, nil
 }

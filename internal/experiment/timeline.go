@@ -37,8 +37,8 @@ func Timeline(ctx context.Context, r Runner) (*Result, error) {
 const churnWindow = 60.0
 
 // churnTimeline runs LCC and MOBIC at Tx = 150 m and returns the mean
-// clusterhead changes per churnWindow, one series per algorithm, padded to
-// one time axis. With victims > 0, nodes 0..victims-1 crash permanently at
+// clusterhead changes per churnWindow, one series per algorithm, on one
+// time axis. With victims > 0, nodes 0..victims-1 crash permanently at
 // min(300 s, duration/3); crashAt reports that time.
 func churnTimeline(ctx context.Context, r Runner, victims int32) (xs []float64, series []Series, crashAt float64, err error) {
 	type churn struct {
@@ -77,33 +77,28 @@ func churnTimeline(ctx context.Context, r Runner, victims int32) (xs []float64, 
 		return nil, nil, 0, err
 	}
 
-	series = make([]Series, len(algs))
-	for ai, alg := range algs {
-		var sums []float64
-		for _, c := range reps[ai] {
-			for len(sums) < len(c.windows) {
-				sums = append(sums, 0)
-			}
-			for i, n := range c.windows {
-				sums[i] += float64(n)
-			}
-		}
-		for i := range sums {
-			sums[i] /= float64(len(reps[ai]))
-		}
-		series[ai] = Series{Name: alg.Name, Y: sums}
-		if len(sums) > len(xs) {
-			xs = xs[:0]
-			for i := range sums {
-				xs = append(xs, churnWindow/2+float64(i)*churnWindow)
-			}
+	// One time axis, as long as the longest replication's timeline.
+	width := 0
+	for _, cell := range reps {
+		for _, c := range cell {
+			width = max(width, len(c.windows))
 		}
 	}
-	// Pad the shorter series so both cover the same axis.
-	for i := range series {
-		for len(series[i].Y) < len(xs) {
-			series[i].Y = append(series[i].Y, 0)
+	for i := 0; i < width; i++ {
+		xs = append(xs, churnWindow/2+float64(i)*churnWindow)
+	}
+	series = make([]Series, len(algs))
+	for ai, alg := range algs {
+		y := make([]float64, width)
+		for _, c := range reps[ai] {
+			for i, n := range c.windows {
+				y[i] += float64(n)
+			}
 		}
+		for i := range y {
+			y[i] /= float64(len(reps[ai]))
+		}
+		series[ai] = Series{Name: alg.Name, Y: y}
 	}
 	return xs, series, reps[0][0].crashAt, nil
 }
