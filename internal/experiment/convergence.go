@@ -25,10 +25,7 @@ func Convergence(ctx context.Context, r Runner) (*Result, error) {
 	// A static config is no scenario.Params, so it is built from the seed.
 	config := func(si int, seed uint64) (simnet.Config, error) {
 		side := sides[si]
-		n := int(density * side * side)
-		if n < 5 {
-			n = 5
-		}
+		n := max(5, int(density*side*side))
 		area := geom.Square(side)
 		return simnet.Config{
 			N:         n,

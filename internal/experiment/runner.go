@@ -29,7 +29,9 @@ type Runner struct {
 	BaseSeed uint64
 	// Workers bounds concurrent simulations (default GOMAXPROCS).
 	Workers int
-	// Progress, when set, is called after each completed cell.
+	// Progress, when set, is called after each finished replication with
+	// the replications done and in total over the whole sweep (a resumed
+	// sweep starts at StartCell×Seeds). Calls are serialized and in order.
 	Progress func(done, total int)
 	// Mutate, when set, adjusts each materialized config before the run
 	// (e.g. to override the propagation or loss model).

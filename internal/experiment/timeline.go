@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"math"
 
 	"mobic/internal/cluster"
 	"mobic/internal/scenario"
@@ -58,7 +57,7 @@ func churnTimeline(ctx context.Context, r Runner, victims int32) (xs []float64, 
 		func(ctx context.Context, _ int, cfg simnet.Config) (churn, error) {
 			var c churn
 			if victims > 0 {
-				c.crashAt = math.Min(300, cfg.Duration/3)
+				c.crashAt = min(300, cfg.Duration/3)
 				for v := int32(0); v < victims; v++ {
 					cfg.Failures = append(cfg.Failures, simnet.NodeFailure{Node: v, At: c.crashAt})
 				}
