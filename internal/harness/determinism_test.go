@@ -128,45 +128,64 @@ func TestDigestInvariantAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestDigestInvariantGridVsBruteForce is the differential oracle for
-// internal/spatial: delivering hellos through the spatial-grid candidate
-// query and through an exhaustive O(N) scan must produce byte-identical
-// digests. Any grid bug that loses, duplicates, or reorders a delivery
-// across timestamps shows up here.
+// internal/spatial: delivering hellos and app packets through the
+// spatial-grid candidate query and through an exhaustive O(N) scan must
+// produce byte-identical digests. Any grid bug that loses, duplicates, or
+// reorders a delivery across timestamps shows up here.
 //
 // Two extra inputs stress the grid query's motion slack, the margin that
 // covers receivers moving since their last index refresh: the paper's §5
 // highway, whose wrap-around leg sweeps a car across the whole segment in
 // seconds, and an adaptive broadcast period whose Max is four times BI.
+// A uniform loss model checks that both paths draw its numbers for the same
+// receivers in the same order, and CBRP runs, one of them with a crash and
+// a recovery, check app-layer broadcasts and unicasts, revived nodes
+// included.
 func TestDigestInvariantGridVsBruteForce(t *testing.T) {
-	cases := map[string]simnet.Config{}
+	// Each case is a constructor: a loss model or an app keeps state, so
+	// the grid and the brute-force run each need a fresh one.
+	cases := map[string]func() simnet.Config{}
 	for _, w := range Workloads()[:2] { // fig3-tx100 and table1-tx250
 		for _, alg := range Algorithms() {
 			cfg, err := w.Config(alg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cases[w.Name+"/"+alg.Name] = cfg
+			cases[w.Name+"/"+alg.Name] = func() simnet.Config { return cfg }
 		}
 	}
 	highway := &mobility.Highway{Length: 3000, Lanes: 4, MinSpeed: 20, MaxSpeed: 33, Bidirectional: true}
-	cases["highway-tx250/mobic"] = simnet.Config{
-		N: 40, Area: highway.Area(), Duration: PinnedDuration, Seed: 1,
-		Algorithm: cluster.MOBIC, Mobility: highway, TxRange: 250,
+	cases["highway-tx250/mobic"] = func() simnet.Config {
+		return simnet.Config{
+			N: 40, Area: highway.Area(), Duration: PinnedDuration, Seed: 1,
+			Algorithm: cluster.MOBIC, Mobility: highway, TxRange: 250,
+		}
 	}
 	square := geom.Square(670)
-	cases["adaptive-bi-max8-tx100/mobic"] = simnet.Config{
-		N: 50, Area: square, Duration: PinnedDuration, Seed: 1,
-		Algorithm: cluster.MOBIC, Mobility: &mobility.RandomWaypoint{Area: square, MaxSpeed: 30},
-		TxRange:  100,
-		Adaptive: &simnet.AdaptiveBI{Min: 1, Max: 8, MRef: 4, Hysteresis: 0.25},
+	cases["adaptive-bi-max8-tx100/mobic"] = func() simnet.Config {
+		return simnet.Config{
+			N: 50, Area: square, Duration: PinnedDuration, Seed: 1,
+			Algorithm: cluster.MOBIC, Mobility: &mobility.RandomWaypoint{Area: square, MaxSpeed: 30},
+			TxRange:  100,
+			Adaptive: &simnet.AdaptiveBI{Min: 1, Max: 8, MRef: 4, Hysteresis: 0.25},
+		}
 	}
-	for name, cfg := range cases {
+	for _, name := range []string{"uniform-loss-tx150", "cbrp-tx250"} {
+		cases[name+"/mobic"] = func() simnet.Config { return enginePathConfig(t, name, 1) }
+	}
+	cases["cbrp-failures-tx250/mobic"] = func() simnet.Config {
+		cfg := enginePathConfig(t, "cbrp-tx250", 2)
+		cfg.Failures = []simnet.NodeFailure{{Node: 3, At: 40, RecoverAt: 90}, {Node: 7, At: 120, RecoverAt: 200}}
+		return cfg
+	}
+	for name, newCfg := range cases {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			gridDigest, _, err := DigestRun(cfg)
+			gridDigest, _, err := DigestRun(newCfg())
 			if err != nil {
 				t.Fatal(err)
 			}
+			cfg := newCfg()
 			cfg.ForceBruteForce = true
 			bruteDigest, _, err := DigestRun(cfg)
 			if err != nil {

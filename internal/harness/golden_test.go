@@ -3,10 +3,13 @@ package harness
 import (
 	"encoding/json"
 	"flag"
+	"math/rand/v2"
 	"os"
 	"sync"
 	"testing"
 
+	"mobic/internal/cbrp"
+	"mobic/internal/channel"
 	"mobic/internal/cluster"
 	"mobic/internal/scenario"
 	"mobic/internal/simnet"
@@ -39,34 +42,58 @@ func goldenConfigs(t *testing.T) map[string]simnet.Config {
 	return out
 }
 
-// enginePathConfigs returns the MOBIC runs pinned beside the golden grid,
-// each the Table 1 base scenario at every golden seed with one engine path
-// switched on: aggregate EWMA history, per-link EWMA history, or the MAC
-// collision model together with a crash-and-recover and a permanent crash.
+// enginePaths are the MOBIC runs pinned beside the golden grid, each the
+// Table 1 base scenario with one engine path switched on: aggregate EWMA
+// history, per-link EWMA history, the MAC collision model together with a
+// crash-and-recover and a permanent crash, a uniform loss model, or CBRP
+// routing on the app layer. The loss model draws one number per delivery
+// in ascending receiver order, so its pin fixes that order, which the
+// digest's same-timestamp sort cannot see; the CBRP pin folds every
+// app-layer delivery into the digest. mutate receives the run's seed and
+// must build any stateful model or app afresh, because each config runs once.
+var enginePaths = map[string]struct {
+	tx     float64
+	mutate func(c *simnet.Config, seed uint64)
+}{
+	"ewma-tx100":          {100, func(c *simnet.Config, _ uint64) { c.Algorithm.EWMAAlpha = 0.5 }},
+	"pairwise-ewma-tx250": {250, func(c *simnet.Config, _ uint64) { c.Algorithm.PairwiseEWMAAlpha = 0.5 }},
+	"collisions-failures-tx150": {150, func(c *simnet.Config, _ uint64) {
+		c.HelloCollisions = true
+		c.Failures = []simnet.NodeFailure{{Node: 3, At: 40, RecoverAt: 90}, {Node: 7, At: 120}}
+	}},
+	"uniform-loss-tx150": {150, func(c *simnet.Config, seed uint64) {
+		c.Loss = &channel.UniformLoss{P: 0.2, Rng: rand.New(rand.NewPCG(seed, 0x105))}
+	}},
+	"cbrp-tx250": {250, func(c *simnet.Config, _ uint64) {
+		c.Apps = []simnet.App{cbrp.New(cbrp.Config{Flows: 10, DataInterval: 4})}
+	}},
+}
+
+// enginePathConfig materializes one of enginePaths at seed.
+func enginePathConfig(t *testing.T, name string, seed uint64) simnet.Config {
+	t.Helper()
+	path, ok := enginePaths[name]
+	if !ok {
+		t.Fatalf("%s: no such engine path", name)
+	}
+	p := scenario.Base(path.tx)
+	p.Duration, p.Seed = PinnedDuration, seed
+	cfg, err := p.Config(cluster.MOBIC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path.mutate(&cfg, seed)
+	return cfg
+}
+
+// enginePathConfigs returns every engine path at every golden seed, keyed
+// by GoldenKey.
 func enginePathConfigs(t *testing.T) map[string]simnet.Config {
 	t.Helper()
-	paths := map[string]struct {
-		tx     float64
-		mutate func(*simnet.Config)
-	}{
-		"ewma-tx100":          {100, func(c *simnet.Config) { c.Algorithm.EWMAAlpha = 0.5 }},
-		"pairwise-ewma-tx250": {250, func(c *simnet.Config) { c.Algorithm.PairwiseEWMAAlpha = 0.5 }},
-		"collisions-failures-tx150": {150, func(c *simnet.Config) {
-			c.HelloCollisions = true
-			c.Failures = []simnet.NodeFailure{{Node: 3, At: 40, RecoverAt: 90}, {Node: 7, At: 120}}
-		}},
-	}
 	out := make(map[string]simnet.Config)
-	for name, path := range paths {
+	for name := range enginePaths {
 		for _, seed := range GoldenSeeds() {
-			p := scenario.Base(path.tx)
-			p.Duration, p.Seed = PinnedDuration, seed
-			cfg, err := p.Config(cluster.MOBIC)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path.mutate(&cfg)
-			out[GoldenKey(name, cluster.MOBIC.Name, seed)] = cfg
+			out[GoldenKey(name, cluster.MOBIC.Name, seed)] = enginePathConfig(t, name, seed)
 		}
 	}
 	return out
@@ -162,7 +189,8 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // TestEnginePathDigests pins the engine paths no golden run sets (history
-// smoothing, MAC collisions, crashes) the same way, in their own file.
+// smoothing, MAC collisions, crashes, packet loss, an app layer) the same
+// way, in their own file.
 func TestEnginePathDigests(t *testing.T) {
 	checkDigests(t, enginePathsPath, enginePathConfigs(t))
 }

@@ -40,7 +40,8 @@ import (
 //
 // Only semantically meaningful events are hashed: clusterhead elections and
 // resignations (KindRoleChange), membership changes (KindHeadChange), and
-// hello deliveries (KindDeliver). Broadcasts, drops and timeouts are
+// hello deliveries (KindDeliver), plus the app-layer deliveries DigestRun
+// taps from the run's apps. Broadcasts, drops and timeouts are
 // excluded — they are implied by the deliveries and would make the digest
 // needlessly sensitive to bookkeeping-only changes.
 //
@@ -68,10 +69,19 @@ func NewDigester() *Digester {
 	return &Digester{h: sha256.New(), t: math.Inf(-1)}
 }
 
+// Kinds of app-layer deliveries, which DigestRun folds in beside the
+// engine's events. They sit above every trace.Kind so that they never
+// collide with one.
+const (
+	kindAppBroadcast trace.Kind = 0x80 + iota
+	kindAppUnicast
+)
+
 // relevant reports whether ev contributes to the digest.
 func relevant(k trace.Kind) bool {
 	switch k {
-	case trace.KindDeliver, trace.KindRoleChange, trace.KindHeadChange:
+	case trace.KindDeliver, trace.KindRoleChange, trace.KindHeadChange,
+		kindAppBroadcast, kindAppUnicast:
 		return true
 	default:
 		return false
@@ -146,6 +156,10 @@ type Digest struct {
 // DigestRun builds and runs cfg with a fresh digester attached and returns
 // the run's canonical digest alongside its result. Any observer already in
 // cfg is chained after the digester, so callers can still tap the stream.
+//
+// Every app in cfg is wrapped so that each app-layer delivery (an
+// OnBroadcast or OnUnicast call) is folded in too, as an event of the
+// digest's own kinds: the engine's event stream does not carry them.
 func DigestRun(cfg simnet.Config) (Digest, *simnet.Result, error) {
 	d := NewDigester()
 	prev := cfg.Observer
@@ -154,6 +168,13 @@ func DigestRun(cfg simnet.Config) (Digest, *simnet.Result, error) {
 		if prev != nil {
 			prev(ev)
 		}
+	}
+	if len(cfg.Apps) > 0 {
+		apps := make([]simnet.App, len(cfg.Apps))
+		for i, app := range cfg.Apps {
+			apps[i] = appTap{App: app, d: d}
+		}
+		cfg.Apps = apps
 	}
 	net, err := simnet.New(cfg)
 	if err != nil {
@@ -164,4 +185,21 @@ func DigestRun(cfg simnet.Config) (Digest, *simnet.Result, error) {
 		return Digest{}, nil, err
 	}
 	return Digest{SHA256: d.Sum(), Events: d.Count()}, res, nil
+}
+
+// appTap forwards every call to the wrapped app and folds each delivery
+// into a digester: sender, receiver and time, not the payload.
+type appTap struct {
+	simnet.App
+	d *Digester
+}
+
+func (a appTap) OnBroadcast(now float64, from, at int32, payload simnet.Payload) {
+	a.d.Observe(trace.Event{T: now, Kind: kindAppBroadcast, Node: from, Other: at})
+	a.App.OnBroadcast(now, from, at, payload)
+}
+
+func (a appTap) OnUnicast(now float64, from, at int32, payload simnet.Payload) {
+	a.d.Observe(trace.Event{T: now, Kind: kindAppUnicast, Node: from, Other: at})
+	a.App.OnUnicast(now, from, at, payload)
 }
