@@ -14,6 +14,9 @@ import (
 // records. The Result carries one PASS/FAIL note per claim; the experiment
 // fails (returns an error) only on simulation errors, not on failed claims,
 // so a regression shows up loudly in the output without hiding the data.
+//
+// The six sweeps report one progress count: Progress sees the replications
+// done and in total across all of them, never a count that restarts.
 func Claims(ctx context.Context, r Runner) (*Result, error) {
 	res := &Result{
 		ID:    "claims",
@@ -27,9 +30,12 @@ func Claims(ctx context.Context, r Runner) (*Result, error) {
 		res.Notes = append(res.Notes, fmt.Sprintf("[%s] %-8s %s", status, id, text))
 	}
 
+	txs, speeds := scenario.TxSweep(), scenario.SpeedSweep()
+	// Four Tx sweeps and two speed sweeps, each over two variants.
+	stage := progressStages(r, 2*(4*len(txs)+2*len(speeds)))
+
 	// One dense sweep drives the Figure 3/4 claims.
-	txs := scenario.TxSweep()
-	dense, err := sweep(ctx, r, txs, scenario.Base, paperVariants(), projectCH)
+	dense, err := sweep(ctx, stage(2*len(txs)), txs, scenario.Base, paperVariants(), projectCH)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +60,7 @@ func Claims(ctx context.Context, r Runner) (*Result, error) {
 	check("C4", "Fig3: MOBIC at least matches the baseline at Tx >= 100 m",
 		analysis.AllBelow(lcc.Y[4:], mobic.Y[4:], 0.10))
 
-	clusters, err := sweep(ctx, r, txs, scenario.Base, paperVariants(), projectNC)
+	clusters, err := sweep(ctx, stage(2*len(txs)), txs, scenario.Base, paperVariants(), projectNC)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +75,7 @@ func Claims(ctx context.Context, r Runner) (*Result, error) {
 	check("C6", "Fig4: little difference between algorithms (within 20%)", similar)
 
 	// Sparse sweep for the Figure 5 claims.
-	sparse, err := sweep(ctx, r, txs, scenario.Sparse, paperVariants(), projectCH)
+	sparse, err := sweep(ctx, stage(2*len(txs)), txs, scenario.Sparse, paperVariants(), projectCH)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +90,7 @@ func Claims(ctx context.Context, r Runner) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nocciSeries, err := sweep(ctx, r, txs, scenario.Base,
+	nocciSeries, err := sweep(ctx, stage(2*len(txs)), txs, scenario.Base,
 		[]variant{{name: "lcc", alg: cluster.LCC}, {name: "mobic-nocci", alg: noCCI}}, projectCH)
 	if err != nil {
 		return nil, err
@@ -94,7 +100,6 @@ func Claims(ctx context.Context, r Runner) (*Result, error) {
 		crossed && crossX >= 40 && crossX <= 175)
 
 	// Figure 6 claims.
-	speeds := scenario.SpeedSweep()
 	for _, p := range []struct {
 		id    string
 		pause float64
@@ -102,7 +107,7 @@ func Claims(ctx context.Context, r Runner) (*Result, error) {
 		{id: "C10", pause: 0},
 		{id: "C11", pause: 30},
 	} {
-		s, err := sweep(ctx, r, speeds, func(v float64) scenario.Params {
+		s, err := sweep(ctx, stage(2*len(speeds)), speeds, func(v float64) scenario.Params {
 			return scenario.Mobility(v, p.pause)
 		}, paperVariants(), projectCH)
 		if err != nil {
@@ -113,4 +118,23 @@ func Claims(ctx context.Context, r Runner) (*Result, error) {
 	}
 
 	return res, nil
+}
+
+// progressStages splits one progress count over consecutive sweeps that
+// run totalCells cells in all. Each call to the returned function hands
+// out the Runner for the next sweep, of cells cells: its Progress reports
+// (done so far over the earlier sweeps + done in this one, total over all).
+func progressStages(r Runner, totalCells int) func(cells int) Runner {
+	report := r.Progress
+	seeds := r.withDefaults().Seeds
+	total, offset := totalCells*seeds, 0
+	return func(cells int) Runner {
+		stage := r
+		if report != nil {
+			base := offset
+			stage.Progress = func(done, _ int) { report(base+done, total) }
+		}
+		offset += cells * seeds
+		return stage
+	}
 }

@@ -586,6 +586,10 @@ type Descriptor struct {
 	// Run executes the experiment. Cancellation of ctx aborts in-flight
 	// simulations promptly and surfaces ctx.Err().
 	Run func(context.Context, Runner) (*Result, error)
+	// MinDuration is the shortest simulated duration in seconds at which
+	// the experiment takes a sample; 0 means any. Run fails on a shorter
+	// run rather than return all-zero series.
+	MinDuration float64
 }
 
 // ErrUnknownExperiment is returned by ByID for an unknown identifier.
@@ -607,8 +611,8 @@ func All() []Descriptor {
 		{ID: "maxdeg", Title: "A6: max-connectivity baseline", Run: MaxDegree},
 		{ID: "propagation", Title: "A7: propagation sensitivity", Run: Propagation},
 		{ID: "loss", Title: "A8: packet-loss robustness", Run: Loss},
-		{ID: "flooding", Title: "A9: flat vs cluster-based flooding", Run: Flooding},
-		{ID: "routes", Title: "A10: backbone route lifetime and discovery cost", Run: Routes},
+		{ID: "flooding", Title: "A9: flat vs cluster-based flooding", Run: Flooding, MinDuration: floodEvery},
+		{ID: "routes", Title: "A10: backbone route lifetime and discovery cost", Run: Routes, MinDuration: routeMinDuration},
 		{ID: "cbrp", Title: "A11: CBRP-lite routing over LCC vs MOBIC clusters", Run: CBRP},
 		{ID: "oracle", Title: "A12: RxPr metric vs GPS-oracle range rates", Run: Oracle},
 		{ID: "mac", Title: "A13: hello MAC collision sensitivity", Run: MAC},

@@ -43,16 +43,24 @@ func Flooding(ctx context.Context, r Runner) (*Result, error) {
 	}, nil
 }
 
-// floodSamples runs one scenario, pausing every 100 s to flood from node 0
-// over the instantaneous topology and cluster structure. It returns the
-// flat and clustered transmission counts and the clustered coverage.
+// floodEvery is the period of floodSamples' floods in simulated seconds;
+// the first is at floodEvery, so a shorter run has no sample.
+const floodEvery = 100.0
+
+// floodSamples runs one scenario, pausing every floodEvery seconds to flood
+// from node 0 over the instantaneous topology and cluster structure. It
+// returns the flat and clustered transmission counts and the clustered
+// coverage.
 func floodSamples(ctx context.Context, _ int, cfg simnet.Config) (samples, error) {
 	var out samples
+	if cfg.Duration < floodEvery {
+		return out, tooShort("flooding", floodEvery, cfg.Duration)
+	}
 	net, err := simnet.New(cfg)
 	if err != nil {
 		return out, err
 	}
-	for t := 100.0; t <= cfg.Duration; t += 100 {
+	for t := floodEvery; t <= cfg.Duration; t += floodEvery {
 		topo, heads, err := topologyAt(ctx, net, t)
 		if err != nil {
 			return out, err

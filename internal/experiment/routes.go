@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"math/rand/v2"
 
 	"mobic/internal/cluster"
@@ -11,6 +12,13 @@ import (
 	"mobic/internal/scenario"
 	"mobic/internal/simnet"
 )
+
+// tooShort is the error of an experiment whose runs end before its first
+// sample, which would otherwise yield all-zero series.
+func tooShort(id string, minDuration, got float64) error {
+	return fmt.Errorf("experiment: %s needs a duration of at least %g s to take a sample, got %g s",
+		id, minDuration, got)
+}
 
 // topologyAt advances net to t and returns its topology and each node's
 // clusterhead. It is the probe epoch of the routing, flooding and
@@ -82,11 +90,18 @@ func Routes(ctx context.Context, r Runner) (*Result, error) {
 	}, nil
 }
 
+// routeMinDuration is the shortest run routeSamples can sample: its first
+// route is discovered at 60 s and probed for up to 60 s.
+const routeMinDuration = 120.0
+
 // routeSamples runs one scenario, discovering fresh routes at fixed epochs
 // between seeded random pairs and measuring node-route lifetimes,
 // cluster-route lifetimes, and discovery costs, in that order.
 func routeSamples(ctx context.Context, _ int, cfg simnet.Config) (samples, error) {
 	var out samples
+	if cfg.Duration < routeMinDuration {
+		return out, tooShort("routes", routeMinDuration, cfg.Duration)
+	}
 	net, err := simnet.New(cfg)
 	if err != nil {
 		return out, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,6 +191,60 @@ func TestRunCellsProgress(t *testing.T) {
 	}
 }
 
+// TestClaimsProgressIsMonotonic checks that Claims reports one progress
+// count over its six sweeps: the done count never falls back when a new
+// sweep starts, the total never changes, and the last call is (total,
+// total).
+func TestClaimsProgressIsMonotonic(t *testing.T) {
+	r := fastRunner(1)
+	r.Workers = 1
+	var calls [][2]int
+	r.Progress = func(done, total int) { calls = append(calls, [2]int{done, total}) }
+	if _, err := Claims(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) == 0 {
+		t.Fatal("Claims never reported progress")
+	}
+	total := calls[0][1]
+	for i, c := range calls {
+		if c[1] != total {
+			t.Fatalf("call %d: total %d, want %d throughout", i, c[1], total)
+		}
+		if i > 0 && c[0] < calls[i-1][0] {
+			t.Fatalf("call %d: done fell from %d to %d", i, calls[i-1][0], c[0])
+		}
+	}
+	if last := calls[len(calls)-1]; last != [2]int{total, total} || len(calls) != total {
+		t.Errorf("last call %v after %d calls, want (%d, %d) after %d", last, len(calls), total, total, total)
+	}
+}
+
+// TestShortRunsFailByName checks that flooding and routes, whose first
+// sample comes 100 s and 120 s into a run, fail on a shorter run with an
+// error naming that minimum instead of returning all-zero series, and that
+// their descriptors carry the same minimum.
+func TestShortRunsFailByName(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		min float64
+	}{{"flooding", 100}, {"routes", 120}} {
+		d, err := ByID(tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.MinDuration != tc.min {
+			t.Errorf("%s: MinDuration %g, want %g", tc.id, d.MinDuration, tc.min)
+		}
+		r := fastRunner(1)
+		r.Mutate = func(cfg *simnet.Config) { cfg.N, cfg.Duration = 15, tc.min-1 }
+		_, err = d.Run(context.Background(), r)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at least %g s", tc.min)) {
+			t.Errorf("%s at %g s: err = %v, want one naming %g s", tc.id, tc.min-1, err, tc.min)
+		}
+	}
+}
+
 func TestRegistryAllUniqueAndResolvable(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, d := range All() {
@@ -271,8 +326,9 @@ func TestLossExperimentSmall(t *testing.T) {
 }
 
 func TestFloodingExperimentStructure(t *testing.T) {
-	// fastRunner's Mutate trims every flooding replication.
+	// Trim every flooding replication to the one flood at 100 s.
 	r := fastRunner(1)
+	r.Mutate = func(cfg *simnet.Config) { cfg.N, cfg.Duration = 15, 100 }
 	res, err := Flooding(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +338,9 @@ func TestFloodingExperimentStructure(t *testing.T) {
 	}
 	flat, clus := res.Series[0], res.Series[1]
 	for i := range res.X {
+		if flat.Y[i] <= 0 {
+			t.Errorf("tx=%v: flat flood took no sample", res.X[i])
+		}
 		if clus.Y[i] > flat.Y[i]+1e-9 {
 			t.Errorf("tx=%v: cluster flood (%v) costs more than flat (%v)",
 				res.X[i], clus.Y[i], flat.Y[i])
@@ -420,7 +479,10 @@ func TestSensitivityExperimentsSmall(t *testing.T) {
 }
 
 func TestRoutesExperimentSmall(t *testing.T) {
-	res, err := Routes(context.Background(), fastRunner(1))
+	// Trim every replication to the one discovery epoch at 60 s.
+	r := fastRunner(1)
+	r.Mutate = func(cfg *simnet.Config) { cfg.N, cfg.Duration = 15, 120 }
+	res, err := Routes(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,6 +492,13 @@ func TestRoutesExperimentSmall(t *testing.T) {
 	for _, s := range res.Series {
 		if len(s.Y) != len(res.X) {
 			t.Errorf("series %q misaligned", s.Name)
+		}
+	}
+	for _, cost := range res.Series[4:] {
+		for i, y := range cost.Y {
+			if y <= 0 {
+				t.Errorf("%s at tx=%v: no discovery sampled", cost.Name, res.X[i])
+			}
 		}
 	}
 }

@@ -92,8 +92,51 @@ func (tr *Trajectory) At(t float64) geom.Point {
 	if t >= tr.times[n-1] {
 		return tr.points[n-1]
 	}
-	// Index of the first waypoint with time > t.
-	i := sort.SearchFloat64s(tr.times, t)
+	// Index of the first waypoint with time >= t.
+	return tr.lerp(sort.SearchFloat64s(tr.times, t), t)
+}
+
+// Cursor reads one trajectory through a cached leg index, so a run of
+// non-decreasing queries costs amortised O(1) instead of a binary search
+// each. At returns exactly what Trajectory.At returns, bit for bit; a query
+// earlier than the cached leg falls back to the binary search. A cursor is
+// mutable and belongs to one reader: the trajectory itself stays read-only,
+// so one trajectory can back cursors on many goroutines at once.
+type Cursor struct {
+	tr *Trajectory
+	// i is the leg of the last interior query: times[i-1] < t <= times[i].
+	i int
+}
+
+// NewCursor returns a cursor over tr, positioned at its first leg.
+func NewCursor(tr *Trajectory) Cursor { return Cursor{tr: tr, i: 1} }
+
+// At returns the position at time t, as Trajectory.At does.
+func (c *Cursor) At(t float64) geom.Point {
+	times := c.tr.times
+	n := len(times)
+	if t <= times[0] {
+		return c.tr.points[0]
+	}
+	if t >= times[n-1] {
+		return c.tr.points[n-1]
+	}
+	// Here n >= 2 and times[0] < t < times[n-1], so the leg index i with
+	// times[i-1] < t <= times[i] exists and lies in [1, n-1].
+	i := c.i
+	if t <= times[i-1] {
+		i = sort.SearchFloat64s(times, t)
+	} else {
+		for times[i] < t {
+			i++
+		}
+	}
+	c.i = i
+	return c.tr.lerp(i, t)
+}
+
+// lerp returns the position at t on leg i, where times[i-1] < t <= times[i].
+func (tr *Trajectory) lerp(i int, t float64) geom.Point {
 	if tr.times[i] == t {
 		return tr.points[i]
 	}

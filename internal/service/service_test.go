@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -75,10 +76,31 @@ func TestSubmitValidation(t *testing.T) {
 		{"too many seeds", JobSpec{Experiment: "fig3", Seeds: MaxSeeds + 1}},
 		{"negative tx", JobSpec{Sweep: &SweepSpec{Algorithms: []string{"mobic"}, TxRanges: []float64{-5}}}},
 		{"oversized n", JobSpec{Sweep: &SweepSpec{Scenario: ScenarioSpec{N: MaxNodes + 1}, Algorithms: []string{"mobic"}}}},
+		{"routes before its first sample", JobSpec{Experiment: "routes", Duration: 119}},
+		{"flooding before its first sample", JobSpec{Experiment: "flooding", Duration: 99.5}},
 	}
 	for _, tc := range cases {
 		if _, err := svc.Submit(tc.spec); !errors.Is(err, ErrInvalidSpec) {
 			t.Errorf("%s: err = %v, want ErrInvalidSpec", tc.name, err)
+		}
+	}
+}
+
+// TestValidateExperimentMinDuration checks that a duration override too
+// short for an experiment's first sample is rejected by name, before any
+// cache lookup could serve a result computed from it, and that the
+// shortest sampling duration itself is accepted.
+func TestValidateExperimentMinDuration(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		min float64
+	}{{"routes", 120}, {"flooding", 100}} {
+		err := JobSpec{Experiment: tc.id, Duration: tc.min - 1}.Validate()
+		if !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), fmt.Sprintf("at least %g s", tc.min)) {
+			t.Errorf("%s at %g s: err = %v, want ErrInvalidSpec naming %g s", tc.id, tc.min-1, err, tc.min)
+		}
+		if err := (JobSpec{Experiment: tc.id, Duration: tc.min}).Validate(); err != nil {
+			t.Errorf("%s at %g s: %v", tc.id, tc.min, err)
 		}
 	}
 }

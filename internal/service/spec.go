@@ -169,8 +169,13 @@ func (s JobSpec) Validate() error {
 		return invalidf("tiles %d outside [0, %d]", s.Tiles, MaxTiles)
 	}
 	if s.Experiment != "" {
-		if _, err := experiment.ByID(s.Experiment); err != nil {
+		d, err := experiment.ByID(s.Experiment)
+		if err != nil {
 			return invalidf("%v", err)
+		}
+		if s.Duration > 0 && s.Duration < d.MinDuration {
+			return invalidf("experiment %s needs a duration of at least %g s, got %g",
+				s.Experiment, d.MinDuration, s.Duration)
 		}
 		return nil
 	}

@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"mobic/internal/cluster"
-	"mobic/internal/geom"
-)
+import "mobic/internal/cluster"
 
 // Payload is an application-defined packet body.
 type Payload any
@@ -92,26 +89,30 @@ func (a *appAPI) After(delay float64, fn func(now float64)) error {
 	return a.n.sched.AfterPooled(delay, fn)
 }
 
-// Broadcast schedules delivery at every in-range node after the hop delay.
+// Broadcast schedules delivery at every in-range node after the hop delay,
+// through the hello path's delivery kernel (see Network.reach): the same
+// candidates, threshold test and ascending loss-model order.
 func (a *appAPI) Broadcast(from int32, payload Payload) int {
 	n := a.n
-	txPos := n.nodes[from].traj.At(n.sched.Now())
+	if n.down[from] {
+		return 0
+	}
+	now := n.sched.Now()
+	n.reach(from, n.nodes[from].pos.At(now), now)
 	receivers := 0
-	for _, rx := range n.nodes {
-		if rx.id == from {
-			continue
-		}
-		if !n.reachableAt(from, rx, txPos) {
+	failed := false
+	for rxID, _, ok := n.rx.pop(); ok; rxID, _, ok = n.rx.pop() {
+		// After a failed schedule the rest of the set is only drained.
+		if failed || n.cfg.Loss.Drops(from, rxID, now) {
 			continue
 		}
 		receivers++
-		rxID := rx.id
 		if err := n.sched.AfterPooled(n.cfg.HopDelay, func(t float64) {
 			for _, app := range n.cfg.Apps {
 				app.OnBroadcast(t, from, rxID, payload)
 			}
 		}); err != nil {
-			return receivers
+			failed = true
 		}
 	}
 	return receivers
@@ -120,11 +121,11 @@ func (a *appAPI) Broadcast(from int32, payload Payload) int {
 // Unicast schedules delivery at `to` if in range.
 func (a *appAPI) Unicast(from, to int32, payload Payload) bool {
 	n := a.n
-	if to < 0 || int(to) >= len(n.nodes) || to == from {
+	if to < 0 || int(to) >= len(n.nodes) || to == from || n.down[from] {
 		return false
 	}
-	txPos := n.nodes[from].traj.At(n.sched.Now())
-	if !n.reachableAt(from, n.nodes[to], txPos) {
+	now := n.sched.Now()
+	if _, ok := n.inRange(to, n.nodes[from].pos.At(now), now); !ok || n.cfg.Loss.Drops(from, to, now) {
 		return false
 	}
 	if err := n.sched.AfterPooled(n.cfg.HopDelay, func(t float64) {
@@ -135,18 +136,4 @@ func (a *appAPI) Unicast(from, to int32, payload Payload) bool {
 		return false
 	}
 	return true
-}
-
-// reachableAt applies the propagation threshold and the loss model for one
-// app-layer packet from -> rx transmitted from txPos at the current instant.
-func (n *Network) reachableAt(from int32, rx *runtimeNode, txPos geom.Point) bool {
-	if n.down[rx.id] || n.down[from] {
-		return false
-	}
-	rxPos := rx.traj.At(n.sched.Now())
-	pr := n.cfg.Propagation.RxPower(n.cfg.TxPower, txPos.Dist(rxPos))
-	if pr < n.rxThresh {
-		return false
-	}
-	return !n.cfg.Loss.Drops(from, rx.id, n.sched.Now())
 }

@@ -36,7 +36,7 @@ func (n *Network) Snapshot() []NodeState {
 	for _, rn := range n.nodes {
 		out = append(out, NodeState{
 			ID:        rn.id,
-			Pos:       rn.traj.At(n.sched.Now()),
+			Pos:       rn.pos.At(n.sched.Now()),
 			Role:      rn.cnode.Role(),
 			Head:      rn.cnode.Head(),
 			M:         n.lastM[rn.id],
@@ -52,7 +52,7 @@ func (n *Network) Snapshot() []NodeState {
 func (n *Network) Positions() []geom.Point {
 	out := make([]geom.Point, 0, len(n.nodes))
 	for _, rn := range n.nodes {
-		out = append(out, rn.traj.At(n.sched.Now()))
+		out = append(out, rn.pos.At(n.sched.Now()))
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"time"
@@ -82,7 +83,11 @@ func (t *neighborTable) headCount() int {
 type runtimeNode struct {
 	id    int32
 	cnode *cluster.Node
-	traj  *mobility.Trajectory
+	// pos reads the node's trajectory. Simulated time only moves forward,
+	// so a cursor makes most position reads O(1). It lives here, not in the
+	// trajectory, because one trajectory set can back many runs at once
+	// (FixedTrajectories hands the same slice to every run of a sweep).
+	pos mobility.Cursor
 	// nbrs is the hello protocol's neighbor table, which also carries each
 	// link's reception history for the mobility metric.
 	nbrs neighborTable
@@ -165,6 +170,8 @@ type Network struct {
 	beaconJitter *rand.Rand
 	// sampleEv is the persistent cluster-sampler event.
 	sampleEv *sim.Event
+	// rx is the delivery kernel's receiver set (see reach).
+	rx receivers
 	// scratch buffers reused across broadcasts and ticks.
 	candBuf []int32
 	viewBuf []cluster.NeighborView
@@ -238,6 +245,7 @@ func New(cfg Config) (*Network, error) {
 		obsRec:         cfg.Obs,
 		bruteForce:     shadowing || cfg.ForceBruteForce,
 		candidateSlack: candidateSlack(cfg, trajs),
+		rx:             newReceivers(cfg.N),
 	}
 	n.sched.SetRecorder(n.obsRec)
 	n.down = make([]bool, cfg.N)
@@ -267,7 +275,7 @@ func New(cfg Config) (*Network, error) {
 		rn := &runtimeNode{
 			id:    id,
 			cnode: cluster.NewNode(id, cfg.Algorithm.Policy),
-			traj:  trajs[i],
+			pos:   mobility.NewCursor(trajs[i]),
 		}
 		if a := cfg.Algorithm.EWMAAlpha; a > 0 && a < 1 {
 			rn.smoother = stats.NewEWMA(a)
@@ -289,7 +297,7 @@ func New(cfg Config) (*Network, error) {
 			})
 		})
 		n.nodes = append(n.nodes, rn)
-		grid.Update(id, trajs[i].At(0))
+		grid.Update(id, rn.pos.At(0))
 	}
 
 	// Arm the hello protocol and the cluster-count sampler now so callers
@@ -385,6 +393,9 @@ func (n *Network) recover(rn *runtimeNode, now float64) {
 	}
 	n.down[rn.id] = false
 	n.tickCount[rn.id] = 0 // listen-only first beacon again
+	// The grid entry went stale while the node was down; refresh it so a
+	// transmission before the node's own beacon still finds it.
+	n.grid.Update(rn.id, rn.pos.At(now))
 	if n.lastDrain != nil {
 		n.lastDrain[rn.id] = now // a crashed radio drew nothing while down
 	}
@@ -706,13 +717,13 @@ func (n *Network) oracleMobility(rn *runtimeNode) float64 {
 	if now <= t0 {
 		return 0
 	}
-	selfNow := rn.traj.At(now)
-	selfThen := rn.traj.At(t0)
+	selfNow := rn.pos.At(now)
+	selfThen := rn.pos.At(t0)
 	var sumSq float64
 	for _, id := range neighborIDs {
 		other := n.nodes[id]
-		dNow := selfNow.Dist(other.traj.At(now))
-		dThen := selfThen.Dist(other.traj.At(t0))
+		dNow := selfNow.Dist(other.pos.At(now))
+		dThen := selfThen.Dist(other.pos.At(t0))
 		rate := (dNow - dThen) / (now - t0)
 		sumSq += rate * rate
 	}
@@ -738,11 +749,9 @@ func (n *Network) helloBytes() int {
 	}
 }
 
-// broadcast delivers rn's hello to every node whose received power clears
-// the threshold, subject to the loss model. Candidates are always visited in
-// ascending receiver-id order — the canonical delivery order both the brute
-// force scan and the grid query reproduce exactly, which is what keeps the
-// loss model's RNG draw sequence identical across them.
+// broadcast delivers rn's hello through the delivery kernel: to every node
+// whose received power clears the threshold, subject to the loss model, in
+// ascending receiver-id order (see reach).
 func (n *Network) broadcast(rn *runtimeNode, now float64) {
 	n.rec.CountBroadcast(n.helloBytes())
 	n.obsRec.Add(obs.NetBeaconsSent, 1)
@@ -752,7 +761,7 @@ func (n *Network) broadcast(rn *runtimeNode, now float64) {
 		n.batteryJ[rn.id] -= n.cfg.Energy.TxCost(n.helloBytes())
 	}
 
-	txPos := rn.traj.At(now)
+	txPos := rn.pos.At(now)
 	n.grid.Update(rn.id, txPos)
 	n.emit(trace.Event{
 		T: now, Kind: trace.KindBroadcast, Node: rn.id, Other: -1,
@@ -764,20 +773,107 @@ func (n *Network) broadcast(rn *runtimeNode, now float64) {
 		role:   rn.cnode.Role(),
 		head:   rn.cnode.Head(),
 	}
+	n.reach(rn.id, txPos, now)
+	for id, pr, ok := n.rx.pop(); ok; id, pr, ok = n.rx.pop() {
+		rx := n.nodes[id]
+		if n.cfg.Loss.Drops(rn.id, id, now) {
+			n.rec.CountDrop()
+			n.obsRec.Add(obs.NetDrops, 1)
+			n.emit(trace.Event{
+				T: now, Kind: trace.KindDrop, Node: rn.id, Other: id, Value: pr,
+			})
+			continue
+		}
+		if n.cfg.HelloCollisions {
+			n.deferDelivery(rn, rx, now, pr, adv)
+			continue
+		}
+		n.applyHello(rn.id, rx, now, pr, adv)
+	}
+}
 
+// reach is pass 1 of the delivery kernel, shared by hellos and app
+// broadcasts: it marks in n.rx every node that would hear a transmission
+// from tx at txPos now (see inRange). Candidates come from the spatial
+// grid, or are every node when the propagation model's range is unbounded
+// (shadowing) or Config.ForceBruteForce is set.
+//
+// Pass 2 is the caller's loop over n.rx.pop, which yields the marked
+// receivers in ascending id order whatever order the grid returned them
+// in. That order is what keeps the loss model's draws and every side effect
+// identical between the grid and the brute-force path. Pass 1 has no side
+// effects beyond its RxPower calls, and the grid path only ever sees
+// deterministic propagation models, so splitting the passes changes
+// neither the call count nor the order of any random draw.
+func (n *Network) reach(tx int32, txPos geom.Point, now float64) {
 	if n.bruteForce {
-		for _, rx := range n.nodes {
-			if rx.id != rn.id {
-				n.tryDeliver(rn, rx, txPos, now, adv)
+		for id := range int32(len(n.nodes)) {
+			if id != tx {
+				n.mark(id, txPos, now)
 			}
 		}
 		return
 	}
-	n.candBuf = n.grid.QueryRange(txPos, n.cfg.TxRange+n.candidateSlack, rn.id, n.candBuf[:0])
-	slices.Sort(n.candBuf) // canonical ascending delivery order
+	n.candBuf = n.grid.QueryRange(txPos, n.cfg.TxRange+n.candidateSlack, tx, n.candBuf[:0])
 	for _, id := range n.candBuf {
-		n.tryDeliver(rn, n.nodes[id], txPos, now, adv)
+		n.mark(id, txPos, now)
 	}
+}
+
+// mark adds rx to the receiver set if it is in range.
+func (n *Network) mark(rx int32, txPos geom.Point, now float64) {
+	if pr, ok := n.inRange(rx, txPos, now); ok {
+		n.rx.add(rx, pr)
+	}
+}
+
+// inRange is the one threshold test, for hellos, app broadcasts and
+// unicasts alike: it reports the power node rx receives from a
+// transmission at txPos now, and whether rx is up and that power clears
+// the receive threshold. A down node costs no RxPower call.
+func (n *Network) inRange(rx int32, txPos geom.Point, now float64) (float64, bool) {
+	if n.down[rx] {
+		return 0, false
+	}
+	pr := n.cfg.Propagation.RxPower(n.cfg.TxPower, txPos.Dist(n.nodes[rx].pos.At(now)))
+	return pr, pr >= n.rxThresh
+}
+
+// receivers is the kernel's receiver set for one transmission: one bit per
+// node id, with the received power beside it in a dense per-node slice.
+// Both are sized in New, so a delivery allocates nothing; [lo, hi] bounds
+// the words that may hold set bits, so pop skips the rest.
+type receivers struct {
+	bits   []uint64
+	pr     []float64
+	lo, hi int
+}
+
+func newReceivers(n int) receivers {
+	words := (n + 63) / 64
+	return receivers{bits: make([]uint64, words), pr: make([]float64, n), lo: words, hi: -1}
+}
+
+// add marks id with received power pr.
+func (s *receivers) add(id int32, pr float64) {
+	w := int(id >> 6)
+	s.bits[w] |= 1 << (id & 63)
+	s.pr[id] = pr
+	s.lo, s.hi = min(s.lo, w), max(s.hi, w)
+}
+
+// pop removes and returns the lowest marked id and its power; ok is false
+// once the set is empty, which leaves it ready for the next transmission.
+func (s *receivers) pop() (id int32, pr float64, ok bool) {
+	for ; s.lo <= s.hi; s.lo++ {
+		if w := s.bits[s.lo]; w != 0 {
+			id = int32(s.lo<<6 | bits.TrailingZeros64(w))
+			s.bits[s.lo] = w & (w - 1)
+			return id, s.pr[id], true
+		}
+	}
+	s.lo, s.hi = len(s.bits), -1
+	return 0, 0, false
 }
 
 // advertisement is the hello payload: the paper's hello message carries the
@@ -786,34 +882,6 @@ type advertisement struct {
 	weight cluster.Weight
 	role   cluster.Role
 	head   int32
-}
-
-// tryDeliver computes the exact received power at rx and delivers the hello
-// if it clears the threshold, survives the loss model, and (when the MAC
-// collision model is on) does not overlap another reception.
-func (n *Network) tryDeliver(tx, rx *runtimeNode, txPos geom.Point, now float64, adv advertisement) {
-	if n.down[rx.id] {
-		return
-	}
-	rxPos := rx.traj.At(now)
-	d := txPos.Dist(rxPos)
-	pr := n.cfg.Propagation.RxPower(n.cfg.TxPower, d)
-	if pr < n.rxThresh {
-		return
-	}
-	if n.cfg.Loss.Drops(tx.id, rx.id, now) {
-		n.rec.CountDrop()
-		n.obsRec.Add(obs.NetDrops, 1)
-		n.emit(trace.Event{
-			T: now, Kind: trace.KindDrop, Node: tx.id, Other: rx.id, Value: pr,
-		})
-		return
-	}
-	if n.cfg.HelloCollisions {
-		n.deferDelivery(tx, rx, now, pr, adv)
-		return
-	}
-	n.applyHello(tx.id, rx, now, pr, adv)
 }
 
 // newReception draws a reception from the pool. A reception's end-of-airtime
@@ -972,7 +1040,7 @@ func (n *Network) sampleClusters(now float64) {
 
 	pos := n.topoPos[:0]
 	for _, rn := range n.nodes {
-		pos = append(pos, rn.traj.At(now))
+		pos = append(pos, rn.pos.At(now))
 	}
 	n.topoPos = pos
 	if n.topo == nil {

@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"sync"
 	"testing"
 
 	"mobic/internal/channel"
@@ -622,5 +624,56 @@ func TestHistoryVariantRuns(t *testing.T) {
 	res := mustRun(t, waypointConfig(hist, 150, 3))
 	if res.Algorithm != "mobic-history" {
 		t.Errorf("Algorithm = %q", res.Algorithm)
+	}
+}
+
+// TestSharedTrajectoriesConcurrentRuns runs two networks at once over one
+// FixedTrajectories, as a sweep's workers do with a parsed ns-2 scenario.
+// Each run reads positions through its own cursors, so under -race neither
+// run's reads race the other's, and each matches the same run made alone.
+// The oracle weight reads positions half a second back, which drives the
+// cursor's backward fallback.
+func TestSharedTrajectoriesConcurrentRuns(t *testing.T) {
+	oracle, err := cluster.ByName("mobic-oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := waypointConfig(cluster.MOBIC, 150, 4)
+	base.Duration = 120
+	trajs, err := base.Mobility.Generate(base.N, base.Duration, sim.NewStreams(base.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Mobility = &mobility.FixedTrajectories{Trajectories: trajs}
+	cfgs := []Config{base, base}
+	cfgs[1].Algorithm, cfgs[1].Seed = oracle, 5
+
+	alone := make([]*Result, len(cfgs))
+	for i, cfg := range cfgs {
+		alone[i] = mustRun(t, cfg)
+	}
+	together := make([]*Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			net, err := New(cfg)
+			if err == nil {
+				together[i], err = net.Run()
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(alone[i], together[i]) {
+			t.Errorf("run %d differs when run beside another:\n  alone:    %+v\n  together: %+v",
+				i, alone[i], together[i])
+		}
 	}
 }
