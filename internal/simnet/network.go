@@ -792,19 +792,15 @@ func (n *Network) broadcast(rn *runtimeNode, now float64) {
 	}
 }
 
-// reach is pass 1 of the delivery kernel, shared by hellos and app
-// broadcasts: it marks in n.rx every node that would hear a transmission
-// from tx at txPos now (see inRange). Candidates come from the spatial
-// grid, or are every node when the propagation model's range is unbounded
-// (shadowing) or Config.ForceBruteForce is set.
-//
-// Pass 2 is the caller's loop over n.rx.pop, which yields the marked
-// receivers in ascending id order whatever order the grid returned them
-// in. That order is what keeps the loss model's draws and every side effect
-// identical between the grid and the brute-force path. Pass 1 has no side
-// effects beyond its RxPower calls, and the grid path only ever sees
-// deterministic propagation models, so splitting the passes changes
-// neither the call count nor the order of any random draw.
+// reach is pass 1 of the delivery kernel, for hellos and app broadcasts:
+// it marks in n.rx every node that hears a transmission from tx at txPos
+// now (see inRange). Candidates come from the spatial grid, or are every
+// node when the range is unbounded (shadowing) or ForceBruteForce is set.
+// Pass 2 is the caller's loop over n.rx.pop, in ascending id order whatever
+// order the grid returned: that keeps the loss model's draws and every side
+// effect the same on the grid and the brute-force path. Pass 1 has no side
+// effect but its RxPower calls, and the grid path only sees deterministic
+// propagation models, so splitting the passes moves no random draw.
 func (n *Network) reach(tx int32, txPos geom.Point, now float64) {
 	if n.bruteForce {
 		for id := range int32(len(n.nodes)) {
