@@ -16,34 +16,26 @@ import (
 // delivery ratio and route breaks (what cluster stability buys the data
 // plane) and the control overhead (what the backbone saves on discovery).
 func CBRP(ctx context.Context, r Runner) (*Result, error) {
-	xs := []float64{150, 200, 250}
-
-	type variantSpec struct {
-		name   string
-		alg    cluster.Algorithm
-		flat   bool
-		repair bool
-	}
-	variants := []variantSpec{
-		{name: "lcc", alg: cluster.LCC},
-		{name: "mobic", alg: cluster.MOBIC},
-		{name: "mobic-flatflood", alg: cluster.MOBIC, flat: true},
-		{name: "mobic-repair", alg: cluster.MOBIC, repair: true},
-	}
-	var cells []Cell
-	for _, v := range variants {
-		for _, tx := range xs {
-			cells = append(cells, Cell{Params: scenario.Base(tx), Algorithm: v.alg})
+	// Each replication's config carries its own protocol instance, which
+	// the replication reads back after the run.
+	withCBRP := func(flat, repair bool) func(*simnet.Config) {
+		return func(cfg *simnet.Config) {
+			cfg.Apps = []simnet.App{cbrp.New(cbrp.Config{
+				Flows: 10, DataInterval: 4,
+				FlatFlooding: flat, LocalRepair: repair,
+			})}
 		}
 	}
+	g := grid{xs: []float64{150, 200, 250}, curves: []curve{
+		algCurve("lcc", cluster.LCC, scenario.Base, withCBRP(false, false)),
+		algCurve("mobic", cluster.MOBIC, scenario.Base, withCBRP(false, false)),
+		algCurve("mobic-flatflood", cluster.MOBIC, scenario.Base, withCBRP(true, false)),
+		algCurve("mobic-repair", cluster.MOBIC, scenario.Base, withCBRP(false, true)),
+	}}
+	cells := gridCells(g)
 	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells),
-		func(ctx context.Context, ci int, cfg simnet.Config) (samples, error) {
-			v := variants[ci/len(xs)]
-			proto := cbrp.New(cbrp.Config{
-				Flows: 10, DataInterval: 4,
-				FlatFlooding: v.flat, LocalRepair: v.repair,
-			})
-			cfg.Apps = []simnet.App{proto}
+		func(ctx context.Context, _ int, cfg simnet.Config) (samples, error) {
+			proto := cfg.Apps[0].(*cbrp.Protocol)
 			net, err := simnet.New(cfg)
 			if err != nil {
 				return samples{}, err
@@ -63,15 +55,16 @@ func CBRP(ctx context.Context, r Runner) (*Result, error) {
 		Title:  "A11: CBRP-lite routing over LCC vs MOBIC clusters",
 		XLabel: "transmission range (m)",
 		YLabel: "data delivery ratio (%)",
-		X:      xs,
+		X:      g.xs,
 	}
-	for vi, v := range variants {
-		pdr := Series{Name: v.name + "-pdr(%)", Y: make([]float64, len(xs))}
-		for xi, tx := range xs {
-			m := meanOf(reps[vi*len(xs)+xi])
+	for i, row := range gridRows(reps, g) {
+		name := g.curves[i].name
+		pdr := Series{Name: name + "-pdr(%)", Y: make([]float64, len(row))}
+		for xi, cellReps := range row {
+			m := meanOf(cellReps)
 			pdr.Y[xi] = m[0]
 			res.Notes = append(res.Notes, fmt.Sprintf(
-				"%-16s tx=%3.0f: control tx %7.0f, route breaks %5.0f", v.name, tx, m[1], m[2]))
+				"%-16s tx=%3.0f: control tx %7.0f, route breaks %5.0f", name, g.xs[xi], m[1], m[2]))
 		}
 		res.Series = append(res.Series, pdr)
 	}

@@ -13,48 +13,112 @@ import (
 	"mobic/internal/simnet"
 )
 
-// variant is one curve of a figure: an algorithm plus an optional config
-// mutation.
-type variant struct {
-	name   string
-	alg    cluster.Algorithm
-	mutate func(*simnet.Config)
+// curve is one named line of a figure: the Cell it runs at each x.
+type curve struct {
+	name string
+	at   func(x float64) Cell
 }
 
-// paperVariants returns the two curves of Figures 3-6: the Lowest-ID (LCC)
+// algCurve is the curve that runs alg on paramsFor(x), with an optional
+// config mutation, at each x.
+func algCurve(name string, alg cluster.Algorithm, paramsFor func(float64) scenario.Params, mutate func(*simnet.Config)) curve {
+	return curve{name: name, at: func(x float64) Cell {
+		return Cell{Params: paramsFor(x), Algorithm: alg, Mutate: mutate}
+	}}
+}
+
+// baseCurve is alg's curve on the 670x670 m scenario at each Tx, named
+// after alg.
+func baseCurve(alg cluster.Algorithm) curve { return algCurve(alg.Name, alg, scenario.Base, nil) }
+
+// grid is a figure's cells: every curve at every x.
+type grid struct {
+	xs     []float64
+	curves []curve
+}
+
+// txGrid is the grid of curves over the Tx sweep.
+func txGrid(curves ...curve) grid { return grid{xs: scenario.TxSweep(), curves: curves} }
+
+// paperGrid is the grid of Figures 3-6 on paramsFor(x): the Lowest-ID (LCC)
 // baseline and MOBIC.
-func paperVariants() []variant {
-	return []variant{
-		{name: "lowest-id(lcc)", alg: cluster.LCC},
-		{name: "mobic", alg: cluster.MOBIC},
-	}
+func paperGrid(xs []float64, paramsFor func(float64) scenario.Params) grid {
+	return grid{xs: xs, curves: []curve{
+		algCurve("lowest-id(lcc)", cluster.LCC, paramsFor, nil),
+		algCurve("mobic", cluster.MOBIC, paramsFor, nil),
+	}}
 }
 
-// sweep runs one figure: for each variant, for each x, a cell; the result
-// carries one series per variant with the projected metric.
-func sweep(
-	ctx context.Context,
-	r Runner,
-	xs []float64,
-	paramsFor func(x float64) scenario.Params,
-	variants []variant,
-	project func(CellStats) (y, ci float64),
-) ([]Series, error) {
+// fig3Grid, fig5Grid and fig6Grid are the grids of Figure 3 (670x670 m),
+// Figure 5 (1000x1000 m) and Figure 6 (speed sweep at the given pause).
+func fig3Grid() grid { return paperGrid(scenario.TxSweep(), scenario.Base) }
+func fig5Grid() grid { return paperGrid(scenario.TxSweep(), scenario.Sparse) }
+
+func fig6Grid(pause float64) grid {
+	return paperGrid(scenario.SpeedSweep(), func(speed float64) scenario.Params {
+		return scenario.Mobility(speed, pause)
+	})
+}
+
+// noCCICurve is A1's metric-only MOBIC (CCI disabled) on the 670x670 m
+// scenario.
+func noCCICurve() (curve, error) {
+	noCCI, err := cluster.ByName("mobic-nocci")
+	if err != nil {
+		return curve{}, err
+	}
+	return baseCurve(noCCI), nil
+}
+
+// gridCells lays grids out one after another, each curve-major: a curve
+// runs its grid's xs in consecutive cells.
+func gridCells(grids ...grid) []Cell {
 	var cells []Cell
-	for _, v := range variants {
-		for _, x := range xs {
-			cells = append(cells, Cell{Params: paramsFor(x), Algorithm: v.alg, Mutate: v.mutate})
+	for _, g := range grids {
+		for _, c := range g.curves {
+			for _, x := range g.xs {
+				cells = append(cells, c.at(x))
+			}
 		}
 	}
-	statsPerCell, err := r.RunCells(ctx, cells)
+	return cells
+}
+
+// gridRows splits per-cell values in gridCells order into one row per
+// curve, grid after grid.
+func gridRows[T any](vals []T, grids ...grid) [][]T {
+	var rows [][]T
+	for _, g := range grids {
+		for range g.curves {
+			rows = append(rows, vals[:len(g.xs)])
+			vals = vals[len(g.xs):]
+		}
+	}
+	return rows
+}
+
+// runGrids runs every grid's cells in one RunCells call and returns one
+// row of stats per curve, grid after grid.
+func runGrids(ctx context.Context, r Runner, grids ...grid) ([][]CellStats, error) {
+	cs, err := r.RunCells(ctx, gridCells(grids...))
 	if err != nil {
 		return nil, err
 	}
-	series := make([]Series, len(variants))
-	for vi, v := range variants {
-		series[vi] = seriesOf(v.name, statsPerCell[vi*len(xs):(vi+1)*len(xs)], project)
+	return gridRows(cs, grids...), nil
+}
+
+// sweep runs one grid and returns res with the grid's xs as its X axis and
+// one series per curve with the projected metric.
+func sweep(ctx context.Context, r Runner, g grid, project func(CellStats) (y, ci float64), res Result) (*Result, error) {
+	rows, err := runGrids(ctx, r, g)
+	if err != nil {
+		return nil, err
 	}
-	return series, nil
+	res.X = g.xs
+	for i, row := range rows {
+		res.Series = append(res.Series, seriesOf(g.curves[i].name, row, project))
+	}
+	return &res, nil
 }
 
 // seriesOf projects consecutive cells, one per x value, onto one series.
@@ -84,72 +148,45 @@ func projectFairness(cs CellStats) (float64, float64) {
 // Fig3 regenerates Figure 3: clusterhead changes vs transmission range on
 // the 670x670 m scenario (MaxSpeed 20, PT 0).
 func Fig3(ctx context.Context, r Runner) (*Result, error) {
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, paperVariants(), projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	return sweep(ctx, r, fig3Grid(), projectCH, Result{
 		ID:     "fig3",
 		Title:  "Figure 3: clusterhead changes vs Tx (670x670 m, MaxSpeed 20, PT 0)",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
-	}, nil
+	})
 }
 
 // Fig4 regenerates Figure 4: average number of clusters vs transmission
 // range on the same scenario as Figure 3.
 func Fig4(ctx context.Context, r Runner) (*Result, error) {
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, paperVariants(), projectNC)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	return sweep(ctx, r, fig3Grid(), projectNC, Result{
 		ID:     "fig4",
 		Title:  "Figure 4: number of clusters vs Tx (670x670 m, MaxSpeed 20, PT 0)",
 		XLabel: "transmission range (m)",
 		YLabel: "average number of clusters",
-		X:      scenario.TxSweep(),
-		Series: series,
-	}, nil
+	})
 }
 
 // Fig5 regenerates Figure 5: clusterhead changes vs transmission range on
 // the sparser 1000x1000 m scenario.
 func Fig5(ctx context.Context, r Runner) (*Result, error) {
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Sparse, paperVariants(), projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	return sweep(ctx, r, fig5Grid(), projectCH, Result{
 		ID:     "fig5",
 		Title:  "Figure 5: clusterhead changes vs Tx (1000x1000 m, MaxSpeed 20, PT 0)",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
-	}, nil
+	})
 }
 
 // fig6 regenerates one panel of Figure 6: clusterhead changes vs MaxSpeed
 // at Tx = 250 m with the given pause time.
 func fig6(ctx context.Context, r Runner, id string, pause float64) (*Result, error) {
-	paramsFor := func(speed float64) scenario.Params {
-		return scenario.Mobility(speed, pause)
-	}
-	series, err := sweep(ctx, r, scenario.SpeedSweep(), paramsFor, paperVariants(), projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	return sweep(ctx, r, fig6Grid(pause), projectCH, Result{
 		ID:     id,
 		Title:  fmt.Sprintf("Figure 6 (PT=%g s): clusterhead changes vs MaxSpeed (Tx 250 m)", pause),
 		XLabel: "max speed (m/s)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.SpeedSweep(),
-		Series: series,
-	}, nil
+	})
 }
 
 // Fig6a regenerates Figure 6(a): PT = 0 (constant mobility).
@@ -176,110 +213,68 @@ func Table1(ctx context.Context, _ Runner) (*Result, error) {
 // AblateCCI isolates the Cluster Contention Interval's contribution (A1):
 // MOBIC with and without CCI, the LCC baseline, and LCC augmented with CCI.
 func AblateCCI(ctx context.Context, r Runner) (*Result, error) {
-	noCCI, err := cluster.ByName("mobic-nocci")
+	noCCI, err := noCCICurve()
 	if err != nil {
 		return nil, err
 	}
 	lccCCI := cluster.LCC
 	lccCCI.Name = "lcc+cci"
 	lccCCI.Policy.CCI = cluster.DefaultCCI
-	variants := []variant{
-		{name: "lcc", alg: cluster.LCC},
-		{name: "mobic", alg: cluster.MOBIC},
-		{name: "mobic-nocci", alg: noCCI},
-		{name: "lcc+cci", alg: lccCCI},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := txGrid(baseCurve(cluster.LCC), baseCurve(cluster.MOBIC), noCCI, baseCurve(lccCCI))
+	return sweep(ctx, r, g, projectCH, Result{
 		ID:     "ablate-cci",
 		Title:  "A1: CCI ablation — contention deferral vs mobility weight",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
 		Notes: []string{
 			"mobic-nocci isolates the mobility metric: it reproduces the paper's",
 			"crossover (worse than LCC at small Tx, better at large Tx).",
 			"CCI alone (lcc+cci) suppresses transient head-head contacts.",
 		},
-	}, nil
+	})
 }
 
 // AblateLCC compares the original aggressive Lowest-ID against LCC (A2),
 // reproducing the motivation from Chiang et al. [3].
 func AblateLCC(ctx context.Context, r Runner) (*Result, error) {
-	variants := []variant{
-		{name: "lowest-id", alg: cluster.LowestID},
-		{name: "lcc", alg: cluster.LCC},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	return sweep(ctx, r, txGrid(baseCurve(cluster.LowestID), baseCurve(cluster.LCC)), projectCH, Result{
 		ID:     "ablate-lcc",
 		Title:  "A2: LCC ablation — aggressive vs least-clusterhead-change maintenance",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
-	}, nil
+	})
 }
 
 // AblateHistory tests the paper's Section 5 history extension (A3): EWMA
 // smoothing of the aggregate mobility metric.
 func AblateHistory(ctx context.Context, r Runner) (*Result, error) {
-	mk := func(name string, alpha float64) variant {
+	mk := func(name string, alpha float64) curve {
 		a := cluster.MOBIC
 		a.Name = name
 		a.EWMAAlpha = alpha
-		return variant{name: name, alg: a}
+		return baseCurve(a)
 	}
 	pair := cluster.MOBIC
 	pair.Name = "mobic-pair-0.5"
 	pair.PairwiseEWMAAlpha = 0.5
-	variants := []variant{
-		{name: "mobic", alg: cluster.MOBIC},
-		mk("mobic-ewma-0.5", 0.5),
-		mk("mobic-ewma-0.25", 0.25),
-		{name: "mobic-pair-0.5", alg: pair},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := txGrid(baseCurve(cluster.MOBIC), mk("mobic-ewma-0.5", 0.5), mk("mobic-ewma-0.25", 0.25), baseCurve(pair))
+	return sweep(ctx, r, g, projectCH, Result{
 		ID:     "ablate-history",
 		Title:  "A3: history ablation — EWMA smoothing of M (paper Section 5)",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
-	}, nil
+	})
 }
 
 // MaxDegree adds the max-connectivity baseline from Section 2.1 (A6).
 func MaxDegree(ctx context.Context, r Runner) (*Result, error) {
-	variants := []variant{
-		{name: "lcc", alg: cluster.LCC},
-		{name: "mobic", alg: cluster.MOBIC},
-		{name: "max-degree", alg: cluster.MaxConnectivity},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := txGrid(baseCurve(cluster.LCC), baseCurve(cluster.MOBIC), baseCurve(cluster.MaxConnectivity))
+	return sweep(ctx, r, g, projectCH, Result{
 		ID:     "maxdeg",
 		Title:  "A6: max-connectivity baseline stability",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
-	}, nil
+	})
 }
 
 // Propagation measures the sensitivity of MOBIC to the channel model (A7).
@@ -289,35 +284,28 @@ func Propagation(ctx context.Context, r Runner) (*Result, error) {
 			rand.New(rand.NewPCG(cfg.Seed, 0x5aad)))
 	}
 	free := func(cfg *simnet.Config) { cfg.Propagation = radio.NewFreeSpace() }
-	variants := []variant{
-		{name: "mobic-tworay", alg: cluster.MOBIC},
-		{name: "mobic-freespace", alg: cluster.MOBIC, mutate: free},
-		{name: "mobic-shadowing", alg: cluster.MOBIC, mutate: shadow},
-		{name: "lcc-tworay", alg: cluster.LCC},
-		{name: "lcc-shadowing", alg: cluster.LCC, mutate: shadow},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := txGrid(
+		algCurve("mobic-tworay", cluster.MOBIC, scenario.Base, nil),
+		algCurve("mobic-freespace", cluster.MOBIC, scenario.Base, free),
+		algCurve("mobic-shadowing", cluster.MOBIC, scenario.Base, shadow),
+		algCurve("lcc-tworay", cluster.LCC, scenario.Base, nil),
+		algCurve("lcc-shadowing", cluster.LCC, scenario.Base, shadow),
+	)
+	return sweep(ctx, r, g, projectCH, Result{
 		ID:     "propagation",
 		Title:  "A7: propagation-model sensitivity",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
 		Notes: []string{
 			"Shadowing (sigma 4 dB) adds reception noise to the RxPr ratios;",
 			"MOBIC's advantage should persist if the metric is robust.",
 		},
-	}, nil
+	})
 }
 
 // Loss measures robustness of the metric to MAC-level packet loss (A8).
 func Loss(ctx context.Context, r Runner) (*Result, error) {
 	rates := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
-	paramsFor := func(float64) scenario.Params { return scenario.Base(150) }
 	mkLoss := func(rate float64) func(*simnet.Config) {
 		return func(cfg *simnet.Config) {
 			if rate == 0 {
@@ -329,30 +317,19 @@ func Loss(ctx context.Context, r Runner) (*Result, error) {
 			}
 		}
 	}
-	// The loss rate is the X axis, so cells are built manually.
-	var cells []Cell
-	algs := []cluster.Algorithm{cluster.LCC, cluster.MOBIC}
-	for _, alg := range algs {
-		for _, rate := range rates {
-			cells = append(cells, Cell{
-				Params:    paramsFor(rate),
-				Algorithm: alg,
-				Mutate:    mkLoss(rate),
-			})
-		}
+	// The loss rate is the X axis: it picks each cell's mutation.
+	lossy := func(alg cluster.Algorithm) curve {
+		return curve{name: alg.Name, at: func(rate float64) Cell {
+			return Cell{Params: scenario.Base(150), Algorithm: alg, Mutate: mkLoss(rate)}
+		}}
 	}
-	cs, err := r.RunCells(ctx, cells)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := grid{xs: rates, curves: []curve{lossy(cluster.LCC), lossy(cluster.MOBIC)}}
+	return sweep(ctx, r, g, projectCH, Result{
 		ID:     "loss",
 		Title:  "A8: packet-loss robustness (Tx 150 m)",
 		XLabel: "uniform hello loss rate",
 		YLabel: "clusterhead changes / 900 s",
-		X:      rates,
-		Series: []Series{seriesOf("lcc", cs[:len(rates)], projectCH), seriesOf("mobic", cs[len(rates):], projectCH)},
-	}, nil
+	})
 }
 
 // AdaptiveBIExp evaluates the Section 5 adaptive-hello-interval extension
@@ -369,18 +346,12 @@ func AdaptiveBIExp(ctx context.Context, r Runner) (*Result, error) {
 		cfg.TimeoutPeriod = 6
 	}
 	paramsFor := func(speed float64) scenario.Params { return scenario.Mobility(speed, 0) }
-	variants := []variant{
-		{name: "mobic-bi2", alg: cluster.MOBIC},
-		{name: "mobic-bi4", alg: cluster.MOBIC, mutate: fixedSlow},
-		{name: "mobic-adaptive", alg: cluster.MOBIC, mutate: adaptive},
-	}
-	var cells []Cell
-	for _, v := range variants {
-		for _, x := range scenario.SpeedSweep() {
-			cells = append(cells, Cell{Params: paramsFor(x), Algorithm: v.alg, Mutate: v.mutate})
-		}
-	}
-	cs, err := r.RunCells(ctx, cells)
+	g := grid{xs: scenario.SpeedSweep(), curves: []curve{
+		algCurve("mobic-bi2", cluster.MOBIC, paramsFor, nil),
+		algCurve("mobic-bi4", cluster.MOBIC, paramsFor, fixedSlow),
+		algCurve("mobic-adaptive", cluster.MOBIC, paramsFor, adaptive),
+	}}
+	rows, err := runGrids(ctx, r, g)
 	if err != nil {
 		return nil, err
 	}
@@ -389,15 +360,14 @@ func AdaptiveBIExp(ctx context.Context, r Runner) (*Result, error) {
 		Title:  "A4: mobility-adaptive broadcast interval (paper Section 5)",
 		XLabel: "max speed (m/s)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.SpeedSweep(),
+		X:      g.xs,
 	}
-	nx := len(scenario.SpeedSweep())
-	for vi, v := range variants {
-		row := cs[vi*nx : (vi+1)*nx]
-		res.Series = append(res.Series, seriesOf(v.name, row, projectCH))
+	for i, row := range rows {
+		name := g.curves[i].name
+		res.Series = append(res.Series, seriesOf(name, row, projectCH))
 		for xi, cell := range row {
 			res.Notes = append(res.Notes, fmt.Sprintf("%s at %g m/s: %.0f beacons",
-				v.name, scenario.SpeedSweep()[xi], cell.Broadcasts))
+				name, g.xs[xi], cell.Broadcasts))
 		}
 	}
 	return res, nil
@@ -410,15 +380,14 @@ func AdaptiveBIExp(ctx context.Context, r Runner) (*Result, error) {
 // is the headline metric; the notes carry the head-duty fairness each
 // policy buys, since rotation trades churn for fairness by design.
 func Policies(ctx context.Context, r Runner) (*Result, error) {
-	base := scenario.Base
 	adaptiveBI := func(tx float64) scenario.Params {
-		p := base(tx)
+		p := scenario.Base(tx)
 		p.BIMin, p.BIMax = 0.5, 4
 		p.TP = 6 // outlast the longest adaptive interval
 		return p
 	}
 	energyOn := func(tx float64) scenario.Params {
-		p := base(tx)
+		p := scenario.Base(tx)
 		// 2 J spans the model's whole arc over 900 s: at low Tx (light RX
 		// load) batteries sink past the rotation threshold mid-run, and at
 		// high Tx they exhaust outright — the curve shows rotation hand-offs
@@ -428,25 +397,13 @@ func Policies(ctx context.Context, r Runner) (*Result, error) {
 		p.EnergyJ = 2
 		return p
 	}
-	type curve struct {
-		name      string
-		alg       cluster.Algorithm
-		paramsFor func(float64) scenario.Params
-	}
-	curves := []curve{
-		{name: "mobic", alg: cluster.MOBIC, paramsFor: base},
-		{name: "mobic-adaptive-bi", alg: cluster.MOBIC, paramsFor: adaptiveBI},
-		{name: "adaptive-lowest-id", alg: cluster.AdaptiveLowestID, paramsFor: base},
-		{name: "mobic-energy", alg: cluster.MOBIC, paramsFor: energyOn},
-	}
-	xs := scenario.TxSweep()
-	var cells []Cell
-	for _, c := range curves {
-		for _, x := range xs {
-			cells = append(cells, Cell{Params: c.paramsFor(x), Algorithm: c.alg})
-		}
-	}
-	cs, err := r.RunCells(ctx, cells)
+	g := txGrid(
+		baseCurve(cluster.MOBIC),
+		algCurve("mobic-adaptive-bi", cluster.MOBIC, adaptiveBI, nil),
+		baseCurve(cluster.AdaptiveLowestID),
+		algCurve("mobic-energy", cluster.MOBIC, energyOn, nil),
+	)
+	rows, err := runGrids(ctx, r, g)
 	if err != nil {
 		return nil, err
 	}
@@ -455,18 +412,18 @@ func Policies(ctx context.Context, r Runner) (*Result, error) {
 		Title:  "A14: clustering policies — adaptive period, ID reassignment, energy rotation",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      xs,
+		X:      g.xs,
 	}
-	for ci, c := range curves {
-		row := cs[ci*len(xs) : (ci+1)*len(xs)]
-		res.Series = append(res.Series, seriesOf(c.name, row, projectCH))
+	for i, row := range rows {
+		name := g.curves[i].name
+		res.Series = append(res.Series, seriesOf(name, row, projectCH))
 		var fairness float64
 		for _, cell := range row {
 			f, _ := projectFairness(cell)
 			fairness += f
 		}
 		res.Notes = append(res.Notes, fmt.Sprintf(
-			"%s: mean head-duty fairness %.3f across the sweep", c.name, fairness/float64(len(xs))))
+			"%s: mean head-duty fairness %.3f across the sweep", name, fairness/float64(len(row))))
 	}
 	return res, nil
 }
@@ -475,28 +432,22 @@ func Policies(ctx context.Context, r Runner) (*Result, error) {
 // sweep with the hello MAC collision model enabled vs disabled.
 func MAC(ctx context.Context, r Runner) (*Result, error) {
 	collide := func(cfg *simnet.Config) { cfg.HelloCollisions = true }
-	variants := []variant{
-		{name: "lcc", alg: cluster.LCC},
-		{name: "mobic", alg: cluster.MOBIC},
-		{name: "lcc+mac", alg: cluster.LCC, mutate: collide},
-		{name: "mobic+mac", alg: cluster.MOBIC, mutate: collide},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := txGrid(
+		baseCurve(cluster.LCC),
+		baseCurve(cluster.MOBIC),
+		algCurve("lcc+mac", cluster.LCC, scenario.Base, collide),
+		algCurve("mobic+mac", cluster.MOBIC, scenario.Base, collide),
+	)
+	return sweep(ctx, r, g, projectCH, Result{
 		ID:     "mac",
 		Title:  "A13: hello MAC collisions (0.8 ms airtime, per-beacon jitter)",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
 		Notes: []string{
 			"Collisions destroy overlapping beacons at a receiver; the paper",
 			"counts only MAC-successful receptions, which this model supplies.",
 		},
-	}, nil
+	})
 }
 
 // Oracle compares the signal-strength mobility metric against a GPS oracle
@@ -509,27 +460,17 @@ func Oracle(ctx context.Context, r Runner) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	variants := []variant{
-		{name: "lcc", alg: cluster.LCC},
-		{name: "mobic", alg: cluster.MOBIC},
-		{name: "mobic-oracle", alg: oracle},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := txGrid(baseCurve(cluster.LCC), baseCurve(cluster.MOBIC), baseCurve(oracle))
+	return sweep(ctx, r, g, projectCH, Result{
 		ID:     "oracle",
 		Title:  "A12: RxPr-ratio metric vs GPS-oracle range rates",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
 		Notes: []string{
 			"mobic-oracle elects by ground-truth range-rate variance (needs GPS);",
 			"mobic estimates the same quantity from received-power ratios alone.",
 		},
-	}, nil
+	})
 }
 
 // Fairness reports Jain's fairness index over per-node clusterhead duty
@@ -537,44 +478,28 @@ func Oracle(ctx context.Context, r Runner) (*Result, error) {
 // Lowest-ID pins the burden on low IDs; MOBIC on relatively slow nodes;
 // max-connectivity on central ones.
 func Fairness(ctx context.Context, r Runner) (*Result, error) {
-	variants := []variant{
-		{name: "lcc", alg: cluster.LCC},
-		{name: "mobic", alg: cluster.MOBIC},
-		{name: "max-degree", alg: cluster.MaxConnectivity},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectFairness)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := txGrid(baseCurve(cluster.LCC), baseCurve(cluster.MOBIC), baseCurve(cluster.MaxConnectivity))
+	return sweep(ctx, r, g, projectFairness, Result{
 		ID:     "fairness",
 		Title:  "Head-duty fairness (Jain index over per-node head time)",
 		XLabel: "transmission range (m)",
 		YLabel: "Jain fairness index",
-		X:      scenario.TxSweep(),
-		Series: series,
 		Notes: []string{
 			"1 = every node serves equally as clusterhead; 1/N = one node",
 			"carries everything. Stability and duty fairness trade off.",
 		},
-	}, nil
+	})
 }
 
 // Residence reports mean clusterhead tenure vs Tx — a complementary
 // stability view not plotted in the paper but implied by its analysis.
 func Residence(ctx context.Context, r Runner) (*Result, error) {
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, paperVariants(), projectRes)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	return sweep(ctx, r, fig3Grid(), projectRes, Result{
 		ID:     "residence",
 		Title:  "Clusterhead residence time vs Tx (670x670 m)",
 		XLabel: "transmission range (m)",
 		YLabel: "mean clusterhead tenure (s)",
-		X:      scenario.TxSweep(),
-		Series: series,
-	}, nil
+	})
 }
 
 // Descriptor names one runnable experiment.

@@ -14,10 +14,7 @@ import (
 // clusters, sampled over the run at each transmission range.
 func Flooding(ctx context.Context, r Runner) (*Result, error) {
 	xs := scenario.TxSweep()
-	cells := make([]Cell, len(xs))
-	for xi, tx := range xs {
-		cells[xi] = Cell{Params: scenario.Base(tx), Algorithm: cluster.MOBIC}
-	}
+	cells := gridCells(txGrid(baseCurve(cluster.MOBIC)))
 	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells), floodSamples, nil)
 	if err != nil {
 		return nil, err

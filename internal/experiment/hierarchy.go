@@ -18,10 +18,7 @@ import (
 //   - cluster-graph edge churn per sample interval (structural stability).
 func Hierarchy(ctx context.Context, r Runner) (*Result, error) {
 	xs := scenario.TxSweep()
-	cells := make([]Cell, len(xs))
-	for xi, tx := range xs {
-		cells[xi] = Cell{Params: scenario.Base(tx), Algorithm: cluster.MOBIC}
-	}
+	cells := gridCells(txGrid(baseCurve(cluster.MOBIC)))
 	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells), hierarchySamples, nil)
 	if err != nil {
 		return nil, err

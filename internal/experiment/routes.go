@@ -9,7 +9,6 @@ import (
 	"mobic/internal/graph"
 	"mobic/internal/hier"
 	"mobic/internal/routing"
-	"mobic/internal/scenario"
 	"mobic/internal/simnet"
 )
 
@@ -44,29 +43,24 @@ func topologyAt(ctx context.Context, net *simnet.Network, t float64) (*graph.Adj
 //     node pairs (probed every 5 s until the route breaks), and
 //   - the mean route-request discovery cost over the cluster backbone.
 func Routes(ctx context.Context, r Runner) (*Result, error) {
-	xs := []float64{100, 150, 200, 250}
-	algs := []cluster.Algorithm{cluster.LCC, cluster.MOBIC}
-	var cells []Cell
-	for _, alg := range algs {
-		for _, tx := range xs {
-			cells = append(cells, Cell{Params: scenario.Base(tx), Algorithm: alg})
-		}
-	}
+	g := grid{xs: []float64{100, 150, 200, 250}, curves: []curve{baseCurve(cluster.LCC), baseCurve(cluster.MOBIC)}}
+	cells := gridCells(g)
 	reps, err := replicate(ctx, r, 0, len(cells), cellConfig(cells), routeSamples, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	life := make([]Series, len(algs))
-	clusterLife := make([]Series, len(algs))
-	cost := make([]Series, len(algs))
-	for ai, alg := range algs {
-		life[ai] = Series{Name: alg.Name + "-route-life(s)", Y: make([]float64, len(xs))}
-		clusterLife[ai] = Series{Name: alg.Name + "-cluster-route-life(s)", Y: make([]float64, len(xs))}
-		cost[ai] = Series{Name: alg.Name + "-rreq-cost", Y: make([]float64, len(xs))}
-		for xi := range xs {
-			m := meanOf(reps[ai*len(xs)+xi])
-			life[ai].Y[xi], clusterLife[ai].Y[xi], cost[ai].Y[xi] = m[0], m[1], m[2]
+	life := make([]Series, len(g.curves))
+	clusterLife := make([]Series, len(g.curves))
+	cost := make([]Series, len(g.curves))
+	for i, row := range gridRows(reps, g) {
+		name := g.curves[i].name
+		life[i] = Series{Name: name + "-route-life(s)", Y: make([]float64, len(row))}
+		clusterLife[i] = Series{Name: name + "-cluster-route-life(s)", Y: make([]float64, len(row))}
+		cost[i] = Series{Name: name + "-rreq-cost", Y: make([]float64, len(row))}
+		for xi, cellReps := range row {
+			m := meanOf(cellReps)
+			life[i].Y[xi], clusterLife[i].Y[xi], cost[i].Y[xi] = m[0], m[1], m[2]
 		}
 	}
 	return &Result{
@@ -74,7 +68,7 @@ func Routes(ctx context.Context, r Runner) (*Result, error) {
 		Title:  "A10: route lifetime and discovery cost over the cluster backbone",
 		XLabel: "transmission range (m)",
 		YLabel: "mean route lifetime (s)",
-		X:      xs,
+		X:      g.xs,
 		Series: []Series{
 			life[0], life[1],
 			clusterLife[0], clusterLife[1],

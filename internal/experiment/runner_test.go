@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mobic/internal/cluster"
+	"mobic/internal/obs"
 	"mobic/internal/scenario"
 	"mobic/internal/simnet"
 	"mobic/internal/trace"
@@ -191,10 +192,10 @@ func TestRunCellsProgress(t *testing.T) {
 	}
 }
 
-// TestClaimsProgressIsMonotonic checks that Claims reports one progress
-// count over its six sweeps: the done count never falls back when a new
-// sweep starts, the total never changes, and the last call is (total,
-// total).
+// TestClaimsProgressIsMonotonic checks that Claims runs its 67 cells in
+// one pool call and reports one progress count over them: the done count
+// never falls back, the total is 67×Seeds throughout, and the last call is
+// (total, total).
 func TestClaimsProgressIsMonotonic(t *testing.T) {
 	r := fastRunner(1)
 	r.Workers = 1
@@ -207,6 +208,9 @@ func TestClaimsProgressIsMonotonic(t *testing.T) {
 		t.Fatal("Claims never reported progress")
 	}
 	total := calls[0][1]
+	if total != 67 {
+		t.Errorf("total %d, want 67 cells × 1 seed", total)
+	}
 	for i, c := range calls {
 		if c[1] != total {
 			t.Fatalf("call %d: total %d, want %d throughout", i, c[1], total)
@@ -592,7 +596,8 @@ func TestPoliciesExperimentSmall(t *testing.T) {
 // Every experiment runs through the one replication pool, so every one
 // must honour the Runner the same way: a canceled context fails it, its
 // progress reaches the full count, its output does not depend on Workers,
-// and r.Mutate reaches every replication that runs.
+// and r.Mutate reaches every replication that runs. Each makes one pool
+// call, so the progress gauge never falls back and ends at 1.
 func TestEveryExperimentHonoursRunner(t *testing.T) {
 	for _, d := range All() {
 		t.Run(d.ID, func(t *testing.T) {
@@ -610,10 +615,13 @@ func TestEveryExperimentHonoursRunner(t *testing.T) {
 					calls     int
 					lastDone  int
 					lastTotal int
+					gauge     float64
 				)
+				reg := obs.NewRegistry()
 				r := Runner{
 					Seeds:   2,
 					Workers: workers,
+					Obs:     reg,
 					Mutate: func(cfg *simnet.Config) {
 						// 120 s reaches flooding's and routes' first probe.
 						cfg.N = 15
@@ -632,6 +640,11 @@ func TestEveryExperimentHonoursRunner(t *testing.T) {
 						}
 						calls++
 						lastDone, lastTotal = done, total
+						g := reg.Gauge(obs.ExpProgress)
+						if g < gauge {
+							t.Errorf("progress gauge fell from %g to %g at (%d, %d)", gauge, g, done, total)
+						}
+						gauge = g
 					},
 				}
 				res, err := d.Run(context.Background(), r)
@@ -649,6 +662,9 @@ func TestEveryExperimentHonoursRunner(t *testing.T) {
 					if lastTotal == 0 || lastDone != lastTotal {
 						t.Errorf("workers=%d: last progress (%d, %d), want done == total > 0",
 							workers, lastDone, lastTotal)
+					}
+					if gauge != 1 {
+						t.Errorf("workers=%d: progress gauge ends at %g, want 1", workers, gauge)
 					}
 				}
 				if len(ran) != calls {

@@ -14,9 +14,8 @@ import (
 // from 0 (immediate resolution) to 16 s.
 func CCISweep(ctx context.Context, r Runner) (*Result, error) {
 	ccis := []float64{0, 1, 2, 4, 8, 16}
-	var cells []Cell
-	for _, tx := range []float64{150, 250} {
-		for _, cci := range ccis {
+	mobicAt := func(tx float64) curve {
+		return curve{name: fmt.Sprintf("mobic-tx%g", tx), at: func(cci float64) Cell {
 			p := scenario.Base(tx)
 			alg := cluster.MOBIC
 			if cci == 0 {
@@ -27,25 +26,19 @@ func CCISweep(ctx context.Context, r Runner) (*Result, error) {
 			} else {
 				p.CCI = cci
 			}
-			cells = append(cells, Cell{Params: p, Algorithm: alg})
-		}
+			return Cell{Params: p, Algorithm: alg}
+		}}
 	}
-	cs, err := r.RunCells(ctx, cells)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	return sweep(ctx, r, grid{xs: ccis, curves: []curve{mobicAt(150), mobicAt(250)}}, projectCH, Result{
 		ID:     "cci-sweep",
 		Title:  "CCI sensitivity: MOBIC stability vs contention interval",
 		XLabel: "cluster contention interval (s)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      ccis,
-		Series: []Series{seriesOf("mobic-tx150", cs[:len(ccis)], projectCH), seriesOf("mobic-tx250", cs[len(ccis):], projectCH)},
 		Notes: []string{
 			"Table 1 fixes CCI = 4 s; longer deferral forgives more transient",
 			"head contacts but delays legitimate merges.",
 		},
-	}, nil
+	})
 }
 
 // BISweep trades beacon rate against stability: the broadcast interval
@@ -54,17 +47,17 @@ func CCISweep(ctx context.Context, r Runner) (*Result, error) {
 // decisions) but cost linearly more airtime.
 func BISweep(ctx context.Context, r Runner) (*Result, error) {
 	bis := []float64{0.5, 1, 2, 4, 8}
-	algs := []cluster.Algorithm{cluster.LCC, cluster.MOBIC}
-	var cells []Cell
-	for _, alg := range algs {
-		for _, bi := range bis {
-			p := scenario.Base(150)
-			p.BI = bi
-			p.TP = 1.5 * bi
-			cells = append(cells, Cell{Params: p, Algorithm: alg})
-		}
+	paramsFor := func(bi float64) scenario.Params {
+		p := scenario.Base(150)
+		p.BI = bi
+		p.TP = 1.5 * bi
+		return p
 	}
-	cs, err := r.RunCells(ctx, cells)
+	g := grid{xs: bis, curves: []curve{
+		algCurve(cluster.LCC.Name, cluster.LCC, paramsFor, nil),
+		algCurve(cluster.MOBIC.Name, cluster.MOBIC, paramsFor, nil),
+	}}
+	rows, err := runGrids(ctx, r, g)
 	if err != nil {
 		return nil, err
 	}
@@ -75,12 +68,12 @@ func BISweep(ctx context.Context, r Runner) (*Result, error) {
 		YLabel: "clusterhead changes / 900 s",
 		X:      bis,
 	}
-	for ai, alg := range algs {
-		row := cs[ai*len(bis) : (ai+1)*len(bis)]
-		res.Series = append(res.Series, seriesOf(alg.Name, row, projectCH))
-		for i, cell := range row {
+	for i, row := range rows {
+		name := g.curves[i].name
+		res.Series = append(res.Series, seriesOf(name, row, projectCH))
+		for xi, cell := range row {
 			res.Notes = append(res.Notes, fmt.Sprintf("%-6s BI=%.1f s: %.0f beacons sent",
-				alg.Name, bis[i], cell.Broadcasts))
+				name, bis[xi], cell.Broadcasts))
 		}
 	}
 	return res, nil
@@ -95,25 +88,15 @@ func WCALite(ctx context.Context, r Runner) (*Result, error) {
 	wca := cluster.MOBIC
 	wca.Name = "wca-lite"
 	wcaMutate := func(cfg *simnet.Config) { cfg.CombinedDegreeWeight = 0.5 }
-	variants := []variant{
-		{name: "lcc", alg: cluster.LCC},
-		{name: "mobic", alg: cluster.MOBIC},
-		{name: "wca-lite", alg: wca, mutate: wcaMutate},
-	}
-	series, err := sweep(ctx, r, scenario.TxSweep(), scenario.Base, variants, projectCH)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
+	g := txGrid(baseCurve(cluster.LCC), baseCurve(cluster.MOBIC), algCurve(wca.Name, wca, scenario.Base, wcaMutate))
+	return sweep(ctx, r, g, projectCH, Result{
 		ID:     "wca",
 		Title:  "WCA-lite: mobility + degree-deviation combined weight",
 		XLabel: "transmission range (m)",
 		YLabel: "clusterhead changes / 900 s",
-		X:      scenario.TxSweep(),
-		Series: series,
 		Notes: []string{
 			"weight = M + 0.5*|degree - ideal|, ideal = mean degree; the",
 			"degree term penalizes both isolated and overloaded candidates.",
 		},
-	}, nil
+	})
 }
