@@ -86,9 +86,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ids = []string{*expID}
 	}
 
+	// Under -json, stdout carries only the JSON stream, so the notes on
+	// the files written go to stderr with the progress counter.
+	notes := out
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return fmt.Errorf("creating output dir: %w", err)
+		}
+		if *asJSON {
+			notes = os.Stderr
 		}
 	}
 
@@ -134,7 +140,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			if err := os.WriteFile(svgPath, []byte(experiment.SVG(res)), 0o644); err != nil {
 				return fmt.Errorf("writing %s: %w", svgPath, err)
 			}
-			fmt.Fprintf(out, "  wrote %s and %s\n", path, svgPath)
+			fmt.Fprintf(notes, "  wrote %s and %s\n", path, svgPath)
 		}
 	}
 	return nil

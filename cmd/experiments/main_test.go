@@ -2,6 +2,9 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,6 +56,38 @@ func TestRunTable1JSON(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"id": "table1"`) {
 		t.Errorf("json output wrong:\n%s", b.String())
+	}
+}
+
+// TestRunJSONWithOutDir checks that -json with -out keeps stdout a pure
+// JSON stream: the notes on written files must not land between objects.
+func TestRunJSONWithOutDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	dir := t.TempDir()
+	var b strings.Builder
+	if err := run(context.Background(), []string{"-exp", "fig6a", "-seeds", "1", "-quick", "-json", "-out", dir}, &b); err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(strings.NewReader(b.String()))
+	objects := 0
+	for {
+		var v map[string]any
+		err := dec.Decode(&v)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("stdout is not a JSON stream after %d objects: %v\n%s", objects, err, b.String())
+		}
+		objects++
+	}
+	if objects != 1 {
+		t.Errorf("decoded %d JSON objects, want 1", objects)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig6a.csv")); err != nil {
+		t.Error(err)
 	}
 }
 

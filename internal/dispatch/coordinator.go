@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"mobic/internal/cache"
-	"mobic/internal/experiment"
 	"mobic/internal/obs"
 	"mobic/internal/service"
 	"mobic/internal/stats"
@@ -349,8 +348,7 @@ func (c *Coordinator) failoverStranded() {
 // failover ships job's spec, key and tenant to the first healthy peer in
 // ring-successor order and repoints the job there. The target was the old
 // owner's replica target, so it resumes from the checkpoints the owner
-// streamed to it. The restore still carries a checkpoint set, empty but
-// version-stamped, because the worker rejects a restore without one.
+// streamed to it.
 func (c *Coordinator) failover(j *remoteJob) {
 	start := c.cfg.Clock()
 	c.mu.Lock()
@@ -362,11 +360,10 @@ func (c *Coordinator) failover(j *remoteJob) {
 		return
 	}
 	body, err := json.Marshal(struct {
-		Spec        service.JobSpec          `json:"spec"`
-		Key         string                   `json:"key,omitempty"`
-		Tenant      string                   `json:"tenant,omitempty"`
-		Checkpoints experiment.CheckpointSet `json:"checkpoints"`
-	}{j.spec, j.key, j.tenant, experiment.ExportCheckpoints(nil)})
+		Spec   service.JobSpec `json:"spec"`
+		Key    string          `json:"key,omitempty"`
+		Tenant string          `json:"tenant,omitempty"`
+	}{j.spec, j.key, j.tenant})
 	if err != nil {
 		return
 	}

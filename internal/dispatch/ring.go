@@ -3,8 +3,9 @@
 // keyed by the job spec's content digest, proxies the /v1/jobs API
 // transparently, health-checks workers off /readyz, and on a worker
 // failure re-dispatches that worker's interrupted jobs to the ring
-// successor — shipping each job's journaled checkpoint prefix so the sweep
-// resumes at its first incomplete cell instead of starting over.
+// successor, which holds the checkpoint replica the old owner streamed to
+// it, so the sweep resumes at its first incomplete cell instead of
+// starting over.
 //
 // Digest-keyed placement is what makes the coordinator's result cache and
 // the workers' own caches compose: identical sweeps always land on the

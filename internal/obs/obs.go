@@ -103,8 +103,8 @@ const (
 	ReplFailures
 	// ReplApplied counts checkpoint records a replica accepted and stored.
 	ReplApplied
-	// ReplRestores counts restores that recovered checkpoints from the
-	// local replica store instead of (or beyond) the shipped prefix.
+	// ReplRestores counts restores that resumed from a checkpoint prefix
+	// held in the local replica store.
 	ReplRestores
 
 	// DispatchRetries counts coordinator→peer call attempts beyond the
@@ -187,7 +187,7 @@ var defs = [NumMetrics]Def{
 	ReplRecords:  {"mobic_repl_records_total", "Checkpoint records acknowledged by a replica.", Counter},
 	ReplFailures: {"mobic_repl_failures_total", "Replication batch sends that failed and await retry.", Counter},
 	ReplApplied:  {"mobic_repl_applied_total", "Checkpoint records accepted into the local replica store.", Counter},
-	ReplRestores: {"mobic_repl_restores_total", "Restores recovered from the local replica store beyond the shipped prefix.", Counter},
+	ReplRestores: {"mobic_repl_restores_total", "Restores that resumed from a checkpoint prefix in the local replica store.", Counter},
 
 	DispatchRetries:              {"mobic_dispatch_retries_total", "Coordinator-to-peer call attempts beyond the first.", Counter},
 	DispatchBreakerOpens:         {"mobic_dispatch_breaker_opens_total", "Per-peer circuit-breaker trips into the open state.", Counter},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mobic/internal/cache"
+	"mobic/internal/chaos"
 	"mobic/internal/experiment"
 )
 
@@ -114,7 +115,7 @@ func TestFlightCollapsesConcurrentDuplicates(t *testing.T) {
 	<-started
 
 	// Same spec while the leader runs: attach, don't enqueue.
-	dup, existed, err := svc.SubmitKey(specFig3(), "")
+	dup, existed, err := svc.SubmitWith(specFig3(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +160,27 @@ func TestFlightReleasedOnFailure(t *testing.T) {
 	}
 	if st := waitTerminal(t, again); st.State != StateFailed {
 		t.Fatalf("resubmission state = %s, want failed (fresh run)", st.State)
+	}
+}
+
+// TestFlightNotTakenOnJournalFailure checks that a submit whose WAL append
+// fails leaves no in-flight slot behind: a leftover leader would name a job
+// that was never stored, and identical submissions would stop collapsing.
+func TestFlightNotTakenOnJournalFailure(t *testing.T) {
+	c, err := cache.Open(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := chaos.New(chaos.MustParse("seed 7\nwrite wal nth=1 error\n"))
+	svc, err := Open(Config{DataDir: t.TempDir(), WrapWAL: chaosWrap(inj, "wal"), Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(specFig3()); err == nil || !chaos.IsInjected(err) {
+		t.Fatalf("submit err = %v, want the injected write error", err)
+	}
+	if n := svc.flights.Len(); n != 0 {
+		t.Fatalf("failed submit left %d in-flight digests, want 0", n)
 	}
 }
 

@@ -24,13 +24,9 @@ import (
 //	                            for the whole batch)
 //	GET    /v1/jobs/{id}        job status (+ result once finished)
 //	GET    /v1/jobs/{id}/stream NDJSON status stream until terminal
-//	GET    /v1/jobs/{id}/checkpoints
-//	                            portable checkpoint export: the job's spec,
-//	                            key and completed-cell prefix, the payload
-//	                            the coordinator ships on failover
 //	POST   /v1/jobs/{id}/restore
-//	                            re-create a job under the given ID seeded
-//	                            with a shipped checkpoint prefix; it resumes
+//	                            re-create a job under the given ID, seeded
+//	                            from this worker's replica of it; it resumes
 //	                            at the first incomplete cell
 //	DELETE /v1/jobs/{id}        request cancellation
 //	GET    /livez               liveness: 200 while the process serves
@@ -51,7 +47,6 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("POST /v1/jobs:batch", a.submitBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", a.status)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", a.stream)
-	mux.HandleFunc("GET /v1/jobs/{id}/checkpoints", a.checkpoints)
 	mux.HandleFunc("POST /v1/jobs/{id}/restore", a.restore)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", a.cancel)
 	mux.HandleFunc("POST /v1/replica/{id}", a.replicaPut)
@@ -108,6 +103,34 @@ func isShed(err error) bool {
 	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQuota) || errors.Is(err, ErrRateLimited)
 }
 
+// admitError writes the status for a failed submit, batch or restore: 400
+// for an invalid spec, 429 for a shed, 503 while shutting down, 500
+// otherwise.
+func (a *api) admitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrInvalidSpec):
+		writeError(w, http.StatusBadRequest, "%v", err)
+	case isShed(err):
+		a.shed(w, err)
+	case errors.Is(err, ErrShuttingDown):
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+// admitted writes the 202 for a newly created job, or the 200 for an
+// existing one returned by an idempotent replay.
+func admitted(w http.ResponseWriter, job *Job, existed bool) {
+	st, _, _ := job.Snapshot()
+	w.Header().Set("Location", "/v1/jobs/"+job.ID())
+	code := http.StatusAccepted
+	if existed {
+		code = http.StatusOK
+	}
+	writeJSON(w, code, st)
+}
+
 // submit handles POST /v1/jobs. Backpressure contract: when the queue is
 // full the request is shed with 429 and a Retry-After hint derived from the
 // queue depth and the EWMA of recent job durations. An Idempotency-Key
@@ -127,24 +150,11 @@ func (a *api) submit(w http.ResponseWriter, r *http.Request) {
 		Replica: r.Header.Get("X-Mobic-Replica"),
 		Tenant:  a.tenant(r),
 	})
-	switch {
-	case errors.Is(err, ErrInvalidSpec):
-		writeError(w, http.StatusBadRequest, "%v", err)
-	case isShed(err):
-		a.shed(w, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	default:
-		st, _, _ := job.Snapshot()
-		w.Header().Set("Location", "/v1/jobs/"+job.ID())
-		code := http.StatusAccepted
-		if existed {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, st)
+	if err != nil {
+		a.admitError(w, err)
+		return
 	}
+	admitted(w, job, existed)
 }
 
 // batchRequest is the body of POST /v1/jobs:batch.
@@ -185,22 +195,15 @@ func (a *api) submitBatch(w http.ResponseWriter, r *http.Request) {
 		Replica: r.Header.Get("X-Mobic-Replica"),
 		Tenant:  a.tenant(r),
 	})
-	switch {
-	case errors.Is(err, ErrInvalidSpec):
-		writeError(w, http.StatusBadRequest, "%v", err)
-	case isShed(err):
-		a.shed(w, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	default:
-		resp := batchResponse{Jobs: make([]Status, len(jobs))}
-		for i, job := range jobs {
-			resp.Jobs[i], _, _ = job.Snapshot()
-		}
-		writeJSON(w, http.StatusAccepted, resp)
+	if err != nil {
+		a.admitError(w, err)
+		return
 	}
+	resp := batchResponse{Jobs: make([]Status, len(jobs))}
+	for i, job := range jobs {
+		resp.Jobs[i], _, _ = job.Snapshot()
+	}
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
 // job resolves the {id} path value, writing 404 on a miss.
@@ -233,49 +236,20 @@ func (a *api) cancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// CheckpointExport is the wire form of GET /v1/jobs/{id}/checkpoints:
-// everything a coordinator needs to re-create the job on another worker.
-type CheckpointExport struct {
-	ID          string                   `json:"id"`
-	Spec        JobSpec                  `json:"spec"`
-	Key         string                   `json:"key,omitempty"`
-	State       State                    `json:"state"`
-	Attempt     int                      `json:"attempt,omitempty"`
-	Checkpoints experiment.CheckpointSet `json:"checkpoints"`
-}
-
-// checkpoints handles GET /v1/jobs/{id}/checkpoints: the portable export
-// of the job's journaled completed-cell prefix.
-func (a *api) checkpoints(w http.ResponseWriter, r *http.Request) {
-	job, ok := a.job(w, r)
-	if !ok {
-		return
-	}
-	st, _, _ := job.Snapshot()
-	writeJSON(w, http.StatusOK, CheckpointExport{
-		ID:          job.ID(),
-		Spec:        job.Spec(),
-		Key:         job.IdempotencyKey(),
-		State:       st.State,
-		Attempt:     st.Attempt,
-		Checkpoints: experiment.ExportCheckpoints(job.checkpointed()),
-	})
-}
-
-// restoreRequest is the body of POST /v1/jobs/{id}/restore — a
-// CheckpointExport minus the redundant ID (the path carries it).
+// restoreRequest is the body of POST /v1/jobs/{id}/restore; the path
+// carries the job's ID.
 type restoreRequest struct {
-	Spec        JobSpec                  `json:"spec"`
-	Key         string                   `json:"key,omitempty"`
-	Tenant      string                   `json:"tenant,omitempty"`
-	Checkpoints experiment.CheckpointSet `json:"checkpoints"`
+	Spec   JobSpec `json:"spec"`
+	Key    string  `json:"key,omitempty"`
+	Tenant string  `json:"tenant,omitempty"`
 }
 
 // restore handles POST /v1/jobs/{id}/restore: the failover entry point. A
-// job is created under the caller-chosen ID, pre-seeded with the shipped
-// contiguous checkpoint prefix, and enqueued; it resumes at the first
-// incomplete cell. Replaying the same restore is idempotent (200 with the
-// existing job). Backpressure matches submit: 429 + Retry-After.
+// job is created under the caller-chosen ID, seeded with the checkpoint
+// prefix this worker's replica holds for it, and enqueued; it resumes at
+// the first incomplete cell. The body carries no checkpoints, and unknown
+// fields are refused. Replaying the same restore is idempotent (200 with
+// the existing job). Backpressure matches submit: 429 + Retry-After.
 func (a *api) restore(w http.ResponseWriter, r *http.Request) {
 	var req restoreRequest
 	dec := json.NewDecoder(r.Body)
@@ -284,38 +258,20 @@ func (a *api) restore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding restore request: %v", err)
 		return
 	}
-	cps, err := req.Checkpoints.Resume()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = a.tenant(r)
 	}
-	job, existed, err := a.svc.RestoreWith(r.PathValue("id"), req.Spec, SubmitOpts{
+	job, existed, err := a.svc.Restore(r.PathValue("id"), req.Spec, SubmitOpts{
 		Key:     req.Key,
 		Replica: r.Header.Get("X-Mobic-Replica"),
 		Tenant:  tenant,
-	}, cps)
-	switch {
-	case errors.Is(err, ErrInvalidSpec):
-		writeError(w, http.StatusBadRequest, "%v", err)
-	case isShed(err):
-		a.shed(w, err)
-	case errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	default:
-		st, _, _ := job.Snapshot()
-		w.Header().Set("Location", "/v1/jobs/"+job.ID())
-		code := http.StatusAccepted
-		if existed {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, st)
+	})
+	if err != nil {
+		a.admitError(w, err)
+		return
 	}
+	admitted(w, job, existed)
 }
 
 // replicaPut handles POST /v1/replica/{id}: one proactive-replication batch
@@ -337,9 +293,17 @@ func (a *api) replicaPut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"records": n})
 }
 
-// replicaGet handles GET /v1/replica/{id}: the replica's current view in
-// CheckpointExport shape — what a failover restore would resume from. Used
-// by tests and operators to observe replication lag.
+// replicaView is the body of GET /v1/replica/{id}.
+type replicaView struct {
+	ID    string                 `json:"id"`
+	Spec  JobSpec                `json:"spec"`
+	Key   string                 `json:"key,omitempty"`
+	Cells []experiment.CellStats `json:"cells"`
+}
+
+// replicaGet handles GET /v1/replica/{id}: the replica's current view, the
+// completed-cell prefix a failover restore would resume from. Used by
+// tests and operators to observe replication lag.
 func (a *api) replicaGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	spec, key, cps, ok := a.svc.Replicas().Lookup(id)
@@ -347,12 +311,7 @@ func (a *api) replicaGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no replica for job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointExport{
-		ID:          id,
-		Spec:        spec,
-		Key:         key,
-		Checkpoints: experiment.ExportCheckpoints(cps),
-	})
+	writeJSON(w, http.StatusOK, replicaView{ID: id, Spec: spec, Key: key, Cells: cps})
 }
 
 // stream handles GET /v1/jobs/{id}/stream: one NDJSON StreamEvent line

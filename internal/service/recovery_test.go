@@ -382,7 +382,7 @@ func TestCompactionDoesNotLoseConcurrentRecords(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
 				for {
-					job, _, err := svc1.SubmitKey(specFig3(), fmt.Sprintf("key-%d-%d", g, i))
+					job, _, err := svc1.SubmitWith(specFig3(), SubmitOpts{Key: fmt.Sprintf("key-%d-%d", g, i)})
 					if errors.Is(err, ErrQueueFull) {
 						time.Sleep(time.Millisecond)
 						continue
@@ -444,7 +444,7 @@ func TestIdempotencyKeySurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc1.Start()
-	job, existed, err := svc1.SubmitKey(specFig3(), "run-42")
+	job, existed, err := svc1.SubmitWith(specFig3(), SubmitOpts{Key: "run-42"})
 	if err != nil || existed {
 		t.Fatalf("first submit: existed=%v err=%v", existed, err)
 	}
@@ -459,7 +459,7 @@ func TestIdempotencyKeySurvivesRestart(t *testing.T) {
 	}
 	svc2.Start()
 	defer svc2.Shutdown(context.Background())
-	again, existed, err := svc2.SubmitKey(specFig3(), "run-42")
+	again, existed, err := svc2.SubmitWith(specFig3(), SubmitOpts{Key: "run-42"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestCompactBytesThreshold(t *testing.T) {
 		}
 		svc.Start()
 		for i := 0; i < 30; i++ {
-			job, _, err := svc.SubmitKey(specFig3(), fmt.Sprintf("compact-%d", i))
+			job, _, err := svc.SubmitWith(specFig3(), SubmitOpts{Key: fmt.Sprintf("compact-%d", i)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,10 +13,9 @@ import (
 // bounded, TTL-pruned in-memory map of checkpoint replicas streamed by ring
 // predecessors. Every worker keeps one (the cost is a few KB per in-flight
 // replicated job) so any peer can be a successor. On failover, Restore
-// consults it: when the replica holds a longer contiguous checkpoint prefix
-// than the coordinator's shipped (possibly stale) observation, the job
-// resumes from the replica instead — the progress a dead owner journaled
-// after the coordinator's last successful poll is not lost.
+// seeds the job from it alone: the job resumes past the replica's
+// contiguous checkpoint prefix, so the progress a dead owner journaled is
+// not lost.
 type ReplicaStore struct {
 	rec obs.Recorder
 

@@ -81,22 +81,19 @@ func newReplicator(client *http.Client, every time.Duration, rec obs.Recorder) *
 	}
 }
 
-// begin registers a job for replication and ships its opening image (the
-// submit record plus any pre-seeded checkpoint prefix — a restored job
-// starts with one). No-op when the job carries no replica target.
+// begin registers a job for replication and ships its opening image, the
+// records its journal holds: the submit record plus any checkpoint prefix
+// a restored job was seeded with. Call it before the job is queued, so the
+// image holds no run-time record. No-op when the job carries no replica
+// target.
 func (r *replicator) begin(job *Job) {
 	if job.replica == "" {
 		return
 	}
-	recs := []record{{Type: recSubmit, Job: job.id, Time: job.created, Spec: &job.spec, Key: job.idemKey}}
-	for i, cs := range job.checkpointed() {
-		stats := cs
-		recs = append(recs, record{Type: recCheckpoint, Job: job.id, Time: job.created, Cell: i, Stats: &stats})
-	}
 	rj := &replJob{
 		id:     job.id,
 		target: job.replica,
-		recs:   recs,
+		recs:   jobRecords(job),
 		kick:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}

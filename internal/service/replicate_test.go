@@ -99,8 +99,8 @@ func TestReplicaStoreApply(t *testing.T) {
 
 // TestReplicationStreamsAndRestores is the service-level replication
 // round trip: worker A streams its checkpoints to worker B as it journals
-// them, and after A "dies" a restore on B with an empty shipped prefix
-// resumes from the replica — producing output byte-equal to A's.
+// them, and after A "dies" a restore on B resumes from the replica,
+// producing output byte-equal to A's.
 func TestReplicationStreamsAndRestores(t *testing.T) {
 	regB := obs.NewRegistry()
 	b := New(Config{Workers: 1, Runner: experiment.Runner{Seeds: 1, Workers: 1}, Obs: regB})
@@ -159,11 +159,11 @@ func TestReplicationStreamsAndRestores(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Failover shape: restore on B ships an empty prefix (the coordinator
-	// observed nothing), so the resume must come from the replica.
-	restored, existed, err := b.RestoreWith(job.ID(), replSweep(), SubmitOpts{Key: "run-1"}, nil)
+	// Failover shape: the restore carries no checkpoints, so the resume
+	// comes from the replica.
+	restored, existed, err := b.Restore(job.ID(), replSweep(), SubmitOpts{Key: "run-1"})
 	if err != nil || existed {
-		t.Fatalf("RestoreWith = (existed=%v, %v)", existed, err)
+		t.Fatalf("Restore = (existed=%v, %v)", existed, err)
 	}
 	var stB Status
 	for {
@@ -223,13 +223,18 @@ func TestReplicaHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var export CheckpointExport
-	if err := json.NewDecoder(resp.Body).Decode(&export); err != nil {
+	var view struct {
+		ID    string                 `json:"id"`
+		Spec  JobSpec                `json:"spec"`
+		Key   string                 `json:"key"`
+		Cells []experiment.CellStats `json:"cells"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if export.ID != "abc123" || len(export.Checkpoints.Cells) != 1 {
-		t.Fatalf("replica GET = %+v", export)
+	if view.ID != "abc123" || view.Key != "k" || view.Spec.Digest() != spec.Digest() || len(view.Cells) != 1 {
+		t.Fatalf("replica GET = %+v", view)
 	}
 
 	// Garbage batches are rejected, unknown replicas are 404.

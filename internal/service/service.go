@@ -217,7 +217,7 @@ type Service struct {
 
 	// compactMu makes journal compaction atomic with respect to the
 	// append+update pairs that make a record durable and then reflect it
-	// in the store. Writers of state (SubmitKey, journalApply) hold the
+	// in the store. Writers of state (admitNew, journalApply) hold the
 	// read side across both steps; the janitor holds the write side
 	// across snapshot-and-swap. Without it, a snapshot taken between an
 	// fsync'd Append and its store update misses the record, and the
@@ -592,7 +592,7 @@ func (s *Service) Start() {
 				if s.journal != nil && (s.journal.Size() > s.cfg.CompactBytes || s.journal.Err() != nil) {
 					// The write side of compactMu excludes every in-flight
 					// append+update pair, so the snapshot and the WAL swap
-					// are atomic with respect to SubmitKey/journalApply: no
+					// are atomic with respect to admitNew/journalApply: no
 					// record fsync'd before the swap can be missing from
 					// the snapshot that replaces it.
 					s.compactMu.Lock()
@@ -607,17 +607,8 @@ func (s *Service) Start() {
 // Submit validates the spec and enqueues a job. It never blocks: a full
 // queue fails fast with ErrQueueFull so the HTTP layer can shed load.
 func (s *Service) Submit(spec JobSpec) (*Job, error) {
-	job, _, err := s.SubmitKey(spec, "")
+	job, _, err := s.SubmitWith(spec, SubmitOpts{})
 	return job, err
-}
-
-// SubmitKey is Submit with an optional idempotency key: when key is
-// non-empty and a job with the same key is already stored (any state), that
-// job is returned with existed=true instead of double-submitting. Keys are
-// journaled with the submission, so replay protection survives a restart;
-// they are released when the job's TTL evicts it.
-func (s *Service) SubmitKey(spec JobSpec, key string) (job *Job, existed bool, err error) {
-	return s.SubmitWith(spec, SubmitOpts{Key: key})
 }
 
 // SubmitOpts carries the optional submission parameters.
@@ -635,9 +626,12 @@ type SubmitOpts struct {
 	Tenant string
 }
 
-// SubmitWith is SubmitKey with the full option set.
+// SubmitWith is Submit with the full option set. With an idempotency key,
+// a stored job with the same key (any state) is returned with
+// existed=true instead of double-submitting. Keys are journaled with the
+// submission, so replay protection survives a restart; they are released
+// when the job's TTL evicts it.
 func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed bool, err error) {
-	key := opts.Key
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -652,8 +646,8 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 	if s.closed {
 		return nil, false, ErrShuttingDown
 	}
-	if key != "" {
-		if prev, ok := s.store.ByKey(key); ok {
+	if opts.Key != "" {
+		if prev, ok := s.store.ByKey(opts.Key); ok {
 			return prev, true, nil
 		}
 	}
@@ -663,7 +657,7 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 		// Finished result already cached: serve it as an instantly
 		// terminal job, no queue slot and no simulation. Cache hits skip
 		// admission on purpose — they consume no queue slot or worker.
-		if job, ok := s.completeFromCache(spec, key, digest, tenant); ok {
+		if job, ok := s.completeFromCache(spec, opts.Key, digest, tenant); ok {
 			return job, false, nil
 		}
 		// Identical submission already in flight: attach to the leader.
@@ -673,18 +667,28 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 			}
 		}
 	}
+	job, err = s.admitNew(newJobID(), spec, opts, tenant, digest, nil)
+	return job, false, err
+}
+
+// admitNew is the admission tail Submit and Restore share; callers hold
+// submitMu. It admits one job for tenant and builds it under id, seeded
+// with the completed-cell prefix cps. digest is the spec's digest in
+// cache mode ("" otherwise), and the new job takes its in-flight slot.
+// The job's records are journaled and the job stored as one step, then it
+// starts replicating and is queued.
+func (s *Service) admitNew(id string, spec JobSpec, opts SubmitOpts, tenant, digest string, cps []experiment.CellStats) (*Job, error) {
 	if err := s.admit(tenant, 1); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	job = newJob(spec, key, s.cfg.Clock())
+	job := rehydrate(id, spec, opts.Key, s.cfg.Clock())
 	job.nowFn = s.cfg.Clock
 	job.tenant = tenant
 	if s.repl != nil {
 		job.replica = opts.Replica
 	}
-	if digest != "" {
-		job.digest = digest
-		_, job.flightLeader = s.flights.Begin(digest, job.ID())
+	for i, cs := range cps {
+		job.addCheckpoint(i, cs)
 	}
 	// Append and Put under the compaction read-lock: once the submit
 	// record is durable the store must reflect the job before any
@@ -693,18 +697,26 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 	s.compactMu.RLock()
 	if s.journal != nil {
 		// WAL contract: durable before acknowledged.
-		if err := s.journal.Append(record{Type: recSubmit, Job: job.ID(), Time: job.created, Spec: &spec, Key: key, Tenant: tenant}); err != nil {
-			s.compactMu.RUnlock()
-			return nil, false, err
+		for _, rec := range jobRecords(job) {
+			if err := s.journal.Append(rec); err != nil {
+				s.compactMu.RUnlock()
+				return nil, err
+			}
 		}
+	}
+	if digest != "" {
+		job.digest = digest
+		_, job.flightLeader = s.flights.Begin(digest, id)
 	}
 	s.store.Put(job)
 	s.compactMu.RUnlock()
-	s.enqueue(job)
+	// Replication starts before a worker can pop the job, so its opening
+	// image is the submit and seeded prefix just journaled.
 	if s.repl != nil {
 		s.repl.begin(job)
 	}
-	return job, false, nil
+	s.enqueue(job)
+	return job, nil
 }
 
 // enqueue places an admitted job on its tenant's sub-queue and bumps the
@@ -780,50 +792,40 @@ func (s *Service) settle(job *Job, out *Output) {
 	}
 }
 
-// Restore enqueues a job under a caller-chosen ID with a pre-seeded
-// checkpoint prefix: the coordinator's failover entry point. The job
-// resumes at cell len(cps) exactly as a local crash recovery would, so its
-// output — and its per-cell trace digests — are identical to an
-// uninterrupted run (resume-equals-rerun, proven in the recovery tests).
-// If a job with the same ID (or idempotency key) already exists, that job
-// is returned with existed=true, which makes failover re-dispatch
-// idempotent. Backpressure matches Submit: a full queue sheds with
-// ErrQueueFull.
-func (s *Service) Restore(id string, spec JobSpec, key string, cps []experiment.CellStats) (job *Job, existed bool, err error) {
-	return s.RestoreWith(id, spec, SubmitOpts{Key: key}, cps)
-}
-
-// RestoreWith is Restore with the full option set. Before enqueueing it
-// consults the local replica store: when a ring predecessor streamed this
-// job's checkpoints here and that replica holds a longer contiguous prefix
-// than the shipped one, the job resumes from the replica instead. A
-// coordinator ships an empty prefix and relies on the replica alone; an
-// older one may still ship the prefix it last polled, and the longer of
-// the two wins. Either way, progress the owner journaled survives its
-// death.
-func (s *Service) RestoreWith(id string, spec JobSpec, opts SubmitOpts, cps []experiment.CellStats) (job *Job, existed bool, err error) {
-	key := opts.Key
+// Restore enqueues a job under a caller-chosen ID: the coordinator's
+// failover entry point. It is a submit under that ID, seeded from the
+// local replica store. When a ring predecessor streamed this job's
+// checkpoints here, the job resumes past their contiguous prefix exactly
+// as a local crash recovery would, so its output, and its per-cell trace
+// digests, are identical to an uninterrupted run (resume-equals-rerun,
+// proven in the recovery tests). If a job with the same ID (or
+// idempotency key) already exists, that job is returned with
+// existed=true, which makes failover re-dispatch idempotent. Backpressure
+// matches Submit: a full queue sheds with ErrQueueFull.
+func (s *Service) Restore(id string, spec JobSpec, opts SubmitOpts) (job *Job, existed bool, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
 	if id == "" || len(id) > 64 {
 		return nil, false, invalidf("restore id %q must be 1-64 characters", id)
 	}
+	// The replica came from a peer over the network: it must be of the
+	// same spec, and its prefix must fit the sweep.
+	var cps []experiment.CellStats
 	if spec.Sweep != nil {
-		if rspec, _, rcps, ok := s.replicas.Lookup(id); ok && len(rcps) > len(cps) && rspec.Digest() == spec.Digest() {
+		if rspec, _, rcps, ok := s.replicas.Lookup(id); ok && len(rcps) > 0 && rspec.Digest() == spec.Digest() {
+			cells := len(spec.Sweep.Algorithms) * max(1, len(spec.Sweep.TxRanges))
+			if len(rcps) > cells {
+				return nil, false, invalidf("replica's %d checkpoints exceed the sweep's %d cells", len(rcps), cells)
+			}
 			cps = rcps
-			s.cfg.Obs.Add(obs.ReplRestores, 1)
 		}
 	}
-	if len(cps) > 0 {
-		if spec.Sweep == nil {
-			return nil, false, invalidf("checkpoints only apply to sweep jobs")
-		}
-		cells := len(spec.Sweep.Algorithms) * max(1, len(spec.Sweep.TxRanges))
-		if len(cps) > cells {
-			return nil, false, invalidf("%d checkpoints exceed the sweep's %d cells", len(cps), cells)
-		}
+	var digest string
+	if s.cfg.Cache != nil {
+		digest = spec.Digest()
 	}
+	tenant := s.cfg.Tenants.Canonical(opts.Tenant)
 
 	s.submitMu <- struct{}{}
 	defer func() { <-s.submitMu }()
@@ -833,47 +835,16 @@ func (s *Service) RestoreWith(id string, spec JobSpec, opts SubmitOpts, cps []ex
 	if prev, ok := s.store.Get(id); ok {
 		return prev, true, nil
 	}
-	if key != "" {
-		if prev, ok := s.store.ByKey(key); ok {
+	if opts.Key != "" {
+		if prev, ok := s.store.ByKey(opts.Key); ok {
 			return prev, true, nil
 		}
 	}
-	tenant := s.cfg.Tenants.Canonical(opts.Tenant)
-	if err := s.admit(tenant, 1); err != nil {
-		return nil, false, err
+	job, err = s.admitNew(id, spec, opts, tenant, digest, cps)
+	if err == nil && len(cps) > 0 {
+		s.cfg.Obs.Add(obs.ReplRestores, 1)
 	}
-	now := s.cfg.Clock()
-	job = rehydrate(id, spec, key, now)
-	job.nowFn = s.cfg.Clock
-	job.tenant = tenant
-	if s.repl != nil {
-		job.replica = opts.Replica
-	}
-	for i, cs := range cps {
-		job.addCheckpoint(i, cs)
-	}
-	if s.cfg.Cache != nil {
-		job.digest = spec.Digest()
-		_, job.flightLeader = s.flights.Begin(job.digest, id)
-	}
-	s.compactMu.RLock()
-	if s.journal != nil {
-		if err := s.journal.Append(record{Type: recSubmit, Job: id, Time: now, Spec: &spec, Key: key, Tenant: tenant}); err != nil {
-			s.compactMu.RUnlock()
-			return nil, false, err
-		}
-		for i := range cps {
-			cs := cps[i]
-			_ = s.journal.Append(record{Type: recCheckpoint, Job: id, Time: now, Cell: i, Stats: &cs})
-		}
-	}
-	s.store.Put(job)
-	s.compactMu.RUnlock()
-	s.enqueue(job)
-	if s.repl != nil {
-		s.repl.begin(job)
-	}
-	return job, false, nil
+	return job, false, err
 }
 
 // Replicas exposes the checkpoint-replica store (the receiving side of

@@ -144,10 +144,10 @@ func (s *Service) SubmitBatch(specs []JobSpec, opts SubmitOpts) ([]*Job, error) 
 	}
 	s.compactMu.RUnlock()
 	for _, job := range jobs {
-		s.enqueue(job)
 		if s.repl != nil {
 			s.repl.begin(job)
 		}
+		s.enqueue(job)
 	}
 	return jobs, nil
 }
