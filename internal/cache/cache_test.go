@@ -223,14 +223,20 @@ func TestFlightCollapse(t *testing.T) {
 	if id, ok := f.Leader("d1"); !ok || id != "job-a" {
 		t.Fatalf("Leader = %q, %v", id, ok)
 	}
-	f.End("d1")
+	// Only the leader ends its flight: a finishing attacher or a job that
+	// never led leaves the slot where it is.
+	f.End("d1", "job-b")
+	if id, ok := f.Leader("d1"); !ok || id != "job-a" {
+		t.Fatalf("Leader after a non-leader End = %q, %v; want job-a", id, ok)
+	}
+	f.End("d1", "job-a")
 	if _, ok := f.Leader("d1"); ok {
 		t.Fatal("flight survived End")
 	}
 	if _, isLeader := f.Begin("d1", "job-c"); !isLeader {
 		t.Fatal("new leader not accepted after End")
 	}
-	f.End("unknown") // no-op
+	f.End("unknown", "job-c") // no-op
 	if f.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", f.Len())
 	}

@@ -42,12 +42,15 @@ func (f *Flight) Leader(key string) (string, bool) {
 	return id, ok
 }
 
-// End releases key. Only the leader's owner calls it, once the job is
-// terminal; releasing an unknown key is a no-op.
-func (f *Flight) End(key string) {
+// End releases key if id leads it. Every job of a digest calls it once
+// terminal, whether it led or not, so only the leader's call frees the
+// slot; ending an unknown key, or a key another job leads, is a no-op.
+func (f *Flight) End(key, id string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.leaders, key)
+	if f.leaders[key] == id {
+		delete(f.leaders, key)
+	}
 }
 
 // Len returns the number of in-flight keys.

@@ -173,4 +173,23 @@ func TestBatchDegradedLocal(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("degraded 429 without Retry-After")
 	}
+
+	// The same tenant's single submit is shed the same way.
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs", strings.NewReader(smallSweep(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Mobic-Tenant", "blocked")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("blocked tenant degraded submit: status %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("degraded submit 429 without Retry-After")
+	}
 }

@@ -49,23 +49,58 @@ func referenceRun(t *testing.T) (string, map[string]string) {
 }
 
 // TestChaosReplicationFailoverByteEqual is the chaos acceptance test for
-// proactive WAL replication: the job's owner is killed mid-sweep, the
-// coordinator's restore ships an empty checkpoint set, and the ring
-// successor must restore from the checkpoint replica the owner streamed to
-// it — finishing with output byte-equal to an undisturbed reference run
-// while having simulated only the unfinished cells.
+// proactive WAL replication: the job's owner is killed mid-sweep, and the
+// ring successor must restore from the checkpoint replica the owner
+// streamed to it — finishing with output byte-equal to an undisturbed
+// reference run while having simulated only the unfinished cells. The
+// sweep arrives as a single submit and as a one-job batch: both leave the
+// coordinator through the same ring walk, so both get a replica target.
 func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos e2e")
 	}
 	refJSON, refDigests := referenceRun(t)
+	submits := map[string]func(t *testing.T, url string) string{
+		"single": func(t *testing.T, url string) string {
+			st, _ := submitSpec(t, url, failoverSweep())
+			return st.ID
+		},
+		"batch": func(t *testing.T, url string) string {
+			spec, err := json.Marshal(failoverSweep())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := postBatchJSON(t, url, "", `{"jobs":[`+string(spec)+`]}`)
+			defer resp.Body.Close()
+			var br struct {
+				Jobs []service.Status `json:"jobs"`
+			}
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("batch status %d", resp.StatusCode)
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&br); err != nil || len(br.Jobs) != 1 {
+				t.Fatalf("batch response: %d jobs, err %v", len(br.Jobs), err)
+			}
+			return br.Jobs[0].ID
+		},
+	}
+	for name, submit := range submits {
+		t.Run(name, func(t *testing.T) {
+			replicaFailover(t, submit, refJSON, refDigests)
+		})
+	}
+}
 
+// replicaFailover runs one replicated failover of the sweep that submit
+// places through a fresh 2-worker cluster, and checks it against the
+// reference run.
+func replicaFailover(t *testing.T, submit func(t *testing.T, url string) string, refJSON string, refDigests map[string]string) {
 	workers := []*worker{newWorkerCfg(t, replicated), newWorkerCfg(t, replicated)}
 	coord, srv, reg := newClusterCfg(t, workers, func(cfg *Config) { cfg.Replicate = true })
 
-	st, _ := submitSpec(t, srv.URL, failoverSweep())
+	id := submit(t, srv.URL)
 	coord.mu.Lock()
-	j := coord.jobs[st.ID]
+	j := coord.jobs[id]
 	coord.mu.Unlock()
 	if j == nil {
 		t.Fatal("submitted job not tracked")
@@ -86,12 +121,20 @@ func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 	}
 
 	// Wait until the owner has streamed at least one checkpoint to its ring
-	// successor — the replica a failover will restore from.
+	// successor — the replica a failover will restore from. An owner two
+	// cells in with no replica yet is not replicating at all (a batch takes
+	// ~10 ms to reach the replica, a cell far longer): kill it then too, so
+	// the assertions below say what was lost.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		_, _, cps, ok := successor.svc.Replicas().Lookup(st.ID)
+		_, _, cps, ok := successor.svc.Replicas().Lookup(id)
 		if ok && len(cps) >= 1 {
 			break
+		}
+		if job, ok := victim.svc.Get(id); ok {
+			if st, _, _ := job.Snapshot(); st.Done >= 2 {
+				break
+			}
 		}
 		coord.mu.Lock()
 		terminal := j.terminal
@@ -107,7 +150,7 @@ func TestChaosReplicationFailoverByteEqual(t *testing.T) {
 
 	victim.kill()
 
-	fin := awaitTerminal(t, srv.URL, st.ID, 60*time.Second)
+	fin := awaitTerminal(t, srv.URL, id, 60*time.Second)
 	if fin.State != service.StateSucceeded {
 		t.Fatalf("failed-over job: %s (%s)", fin.State, fin.Error)
 	}

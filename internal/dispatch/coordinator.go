@@ -143,8 +143,13 @@ func (c Config) withDefaults() Config {
 type remoteJob struct {
 	id     string
 	digest string
-	key    string
-	spec   service.JobSpec
+	// placement is the ring key the job was placed by: its digest for a
+	// single submit, the combined digest of its batch for a batch job.
+	// The replica target was chosen by it too, so failover walks the ring
+	// from it. Empty for jobs no worker holds (cache answers, degraded).
+	placement string
+	key       string
+	spec      service.JobSpec
 	// tenant is the canonical tenant name the owning worker admitted the
 	// job under; failover restores preserve it so the successor charges
 	// the same tenant's quota and fair share.
@@ -346,16 +351,16 @@ func (c *Coordinator) failoverStranded() {
 }
 
 // failover ships job's spec, key and tenant to the first healthy peer in
-// ring-successor order and repoints the job there. The target was the old
-// owner's replica target, so it resumes from the checkpoints the owner
-// streamed to it.
+// ring-successor order from the job's placement key and repoints the job
+// there. The target was the old owner's replica target, so it resumes
+// from the checkpoints the owner streamed to it.
 func (c *Coordinator) failover(j *remoteJob) {
 	start := c.cfg.Clock()
 	c.mu.Lock()
 	oldPeer := j.peer
 	c.mu.Unlock()
 
-	target := c.ring.Owner(j.digest, c.isDown)
+	target := c.ring.Owner(j.placement, c.isDown)
 	if target == "" || target == oldPeer {
 		return
 	}
@@ -368,7 +373,7 @@ func (c *Coordinator) failover(j *remoteJob) {
 		return
 	}
 	hdr := http.Header{"Content-Type": {"application/json"}}
-	if rt := c.replicaTarget(j.digest, target); rt != "" {
+	if rt := c.replicaTarget(j.placement, target); rt != "" {
 		// The restored job streams its checkpoints onward too: a second
 		// failure must not be the one that loses progress.
 		hdr.Set("X-Mobic-Replica", rt)
@@ -485,7 +490,7 @@ func (c *Coordinator) completeJob(j *remoteJob, st *service.Status) {
 			c.cfg.Cache.Put(j.digest, data)
 		}
 	}
-	c.flights.End(j.digest)
+	c.flights.End(j.digest, j.id)
 }
 
 // errBreakerOpen marks a call refused locally by an open circuit breaker.
@@ -611,14 +616,15 @@ func (c *Coordinator) getJSON(ctx context.Context, peer, path string, v any) err
 }
 
 // replicaTarget picks a job's checkpoint-replica target: the first healthy
-// distinct peer after owner in ring-successor order — exactly the peer a
-// failover would land on, so the replica is already where the job goes
-// next. Empty when replication is off or the ring has no second peer up.
-func (c *Coordinator) replicaTarget(digest, owner string) string {
+// distinct peer after owner in ring-successor order from the job's
+// placement key — exactly the peer a failover would land on, so the
+// replica is already where the job goes next. Empty when replication is
+// off or the ring has no second peer up.
+func (c *Coordinator) replicaTarget(placement, owner string) string {
 	if !c.cfg.Replicate {
 		return ""
 	}
-	for _, p := range c.ring.Owners(digest) {
+	for _, p := range c.ring.Owners(placement) {
 		if p != owner && !c.isDown(p) {
 			return p
 		}

@@ -467,6 +467,23 @@ func TestCoordinatorRetryAfterMerge(t *testing.T) {
 	}
 }
 
+// TestCompleteJobKeepsLeaderFlight checks that a job finishing while
+// another job of the same digest leads the flight (a batch sibling, say)
+// leaves the leader's slot in place, so identical submits keep attaching.
+func TestCompleteJobKeepsLeaderFlight(t *testing.T) {
+	coord, err := New(Config{Peers: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.track(&remoteJob{id: "leader", digest: "d"})
+	other := &remoteJob{id: "other", digest: "d"}
+	coord.track(other)
+	coord.completeJob(other, &service.Status{State: service.StateFailed})
+	if id, ok := coord.flights.Leader("d"); !ok || id != "leader" {
+		t.Fatalf("flight leader after a non-leader finished = %q (%v), want leader", id, ok)
+	}
+}
+
 func TestCoordinatorReadyRequiresHealthyPeer(t *testing.T) {
 	// A peer that never answers /readyz.
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

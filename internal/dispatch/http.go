@@ -161,32 +161,56 @@ func (p *proxy) submit(w http.ResponseWriter, r *http.Request) {
 	if key != "" {
 		hdr.Set("Idempotency-Key", key)
 	}
+	p.place(w, r, digest, "/v1/jobs", body, hdr,
+		func(resp *http.Response, peer string) { p.relaySubmit(w, resp, spec, digest, key, peer) },
+		func() { p.submitLocal(w, r, spec, digest, key) })
+}
+
+// place sends one submission (a single job or a batch) to the ring owner
+// of key, walking to the next live successor when a peer cannot be
+// reached. The first peer that answers decides: an acceptance goes to
+// relay with that peer, a shed (429) passes through with the merged
+// Retry-After hint, and any other answer passes through as-is. Each
+// attempt names the replica target of the peer it goes to, chosen by the
+// same key, so a failover that walks the ring from key lands on the job's
+// replica. With no live owner, local runs the submission on the embedded
+// fallback service (degraded mode), or the request gets 503 when there is
+// none.
+func (p *proxy) place(w http.ResponseWriter, r *http.Request, key, path string, body []byte, hdr http.Header,
+	relay func(resp *http.Response, peer string), local func()) {
 	copyTenantHeaders(hdr, r)
-	for _, peer := range p.c.ring.Owners(digest) {
+	for _, peer := range p.c.ring.Owners(key) {
 		if p.c.isDown(peer) {
 			continue
 		}
 		hdr.Del("X-Mobic-Replica")
-		if rt := p.c.replicaTarget(digest, peer); rt != "" {
+		if rt := p.c.replicaTarget(key, peer); rt != "" {
 			hdr.Set("X-Mobic-Replica", rt)
 		}
 		// Single breaker-gated attempt per peer: the ring walk itself is
 		// the retry, and an open breaker skips the peer without waiting
 		// out an attempt timeout.
-		resp, err := p.c.attempt(r.Context(), peer, http.MethodPost, "/v1/jobs", body, hdr)
+		resp, err := p.c.attempt(r.Context(), peer, http.MethodPost, path, body, hdr)
 		if err != nil {
 			// Connection-level failure: walk to the ring successor. The
 			// health loop will mark the peer down on its own cadence.
-			p.c.cfg.Logger.Warn("submit forward failed", "peer", peer, "err", err)
+			p.c.cfg.Logger.Warn("submit forward failed", "peer", peer, "path", path, "err", err)
 			continue
 		}
-		p.relaySubmit(w, resp, spec, digest, key, peer)
+		switch resp.StatusCode {
+		case http.StatusOK, http.StatusAccepted:
+			relay(resp, peer)
+		case http.StatusTooManyRequests:
+			p.retryAfter(w, parseRetryAfter(resp.Header.Get("Retry-After"), p.c.cfg.Clock()))
+			fallthrough
+		default:
+			passthrough(w, resp)
+		}
+		resp.Body.Close()
 		return
 	}
-	// Degraded mode: the ring has no live owner. Run the job on the
-	// embedded fallback service rather than bouncing the client.
 	if p.c.cfg.Local != nil {
-		p.submitLocal(w, r, spec, digest, key)
+		local()
 		return
 	}
 	writeError(w, http.StatusServiceUnavailable, "dispatch: no healthy worker")
@@ -211,7 +235,7 @@ func (p *proxy) submitLocal(w http.ResponseWriter, r *http.Request, spec service
 	tenant := p.c.cfg.Local.ResolveTenant(r.Header.Get("Authorization"), r.Header.Get("X-Mobic-Tenant"))
 	job, existed, err := p.c.cfg.Local.SubmitWith(spec, service.SubmitOpts{Key: key, Tenant: tenant})
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "dispatch: degraded submit: %v", err)
+		p.localError(w, "submit", err)
 		return
 	}
 	if !existed {
@@ -235,7 +259,8 @@ func (p *proxy) submitLocal(w http.ResponseWriter, r *http.Request, spec service
 // submitBatch proxies POST /v1/jobs:batch. The whole batch is placed on
 // one ring owner (keyed by the combined spec digest, so sibling jobs stay
 // co-located and the worker's single-WAL-frame atomicity holds for the
-// batch); the worker makes the all-or-none admission decision.
+// batch); the worker makes the all-or-none admission decision. Placement,
+// replica target and degraded mode are the single submit's.
 func (p *proxy) submitBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []service.JobSpec `json:"jobs"`
@@ -270,63 +295,33 @@ func (p *proxy) submitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	hdr := http.Header{"Content-Type": {"application/json"}}
-	copyTenantHeaders(hdr, r)
-	for _, peer := range p.c.ring.Owners(batchDigest) {
-		if p.c.isDown(peer) {
-			continue
-		}
-		resp, err := p.c.attempt(r.Context(), peer, http.MethodPost, "/v1/jobs:batch", body, hdr)
-		if err != nil {
-			p.c.cfg.Logger.Warn("batch forward failed", "peer", peer, "err", err)
-			continue
-		}
-		p.relayBatch(w, resp, req.Jobs, peer)
-		return
-	}
-	if p.c.cfg.Local != nil {
-		p.batchLocal(w, r, req.Jobs)
-		return
-	}
-	writeError(w, http.StatusServiceUnavailable, "dispatch: no healthy worker")
+	p.place(w, r, batchDigest, "/v1/jobs:batch", body, http.Header{"Content-Type": {"application/json"}},
+		func(resp *http.Response, peer string) { p.relayBatch(w, resp, req.Jobs, batchDigest, peer) },
+		func() { p.batchLocal(w, r, req.Jobs) })
 }
 
-// relayBatch finishes a forwarded batch: tracks each accepted job under
-// its own spec digest, merges Retry-After hints on shed, and passes
-// everything else through.
-func (p *proxy) relayBatch(w http.ResponseWriter, resp *http.Response, specs []service.JobSpec, peer string) {
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		var br struct {
-			Jobs []service.Status `json:"jobs"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-			writeError(w, http.StatusBadGateway, "decoding worker response: %v", err)
-			return
-		}
-		now := p.c.cfg.Clock()
-		for i, st := range br.Jobs {
-			if i >= len(specs) {
-				break
-			}
-			p.c.track(&remoteJob{
-				id: st.ID, digest: specs[i].Digest(), spec: specs[i],
-				tenant: st.Tenant, peer: peer, created: now,
-			})
-		}
-		p.c.cfg.Obs.Add(obs.DispatchForwarded, int64(len(br.Jobs)))
-		writeJSON(w, resp.StatusCode, br)
-	case http.StatusTooManyRequests:
-		hint := p.c.retryAfterHint()
-		if peerHint := parseRetryAfter(resp.Header.Get("Retry-After"), p.c.cfg.Clock()); peerHint > hint {
-			hint = peerHint
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(hint))
-		passthrough(w, resp)
-	default:
-		passthrough(w, resp)
+// relayBatch finishes an accepted forwarded batch: tracks each job under
+// its own spec digest and the batch's placement key.
+func (p *proxy) relayBatch(w http.ResponseWriter, resp *http.Response, specs []service.JobSpec, placement, peer string) {
+	var br struct {
+		Jobs []service.Status `json:"jobs"`
 	}
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		writeError(w, http.StatusBadGateway, "decoding worker response: %v", err)
+		return
+	}
+	now := p.c.cfg.Clock()
+	for i, st := range br.Jobs {
+		if i >= len(specs) {
+			break
+		}
+		p.c.track(&remoteJob{
+			id: st.ID, digest: specs[i].Digest(), placement: placement, spec: specs[i],
+			tenant: st.Tenant, peer: peer, created: now,
+		})
+	}
+	p.c.cfg.Obs.Add(obs.DispatchForwarded, int64(len(br.Jobs)))
+	writeJSON(w, resp.StatusCode, br)
 }
 
 // batchLocal runs a batch on the embedded fallback service in degraded
@@ -335,21 +330,8 @@ func (p *proxy) relayBatch(w http.ResponseWriter, resp *http.Response, specs []s
 func (p *proxy) batchLocal(w http.ResponseWriter, r *http.Request, specs []service.JobSpec) {
 	tenant := p.c.cfg.Local.ResolveTenant(r.Header.Get("Authorization"), r.Header.Get("X-Mobic-Tenant"))
 	jobs, err := p.c.cfg.Local.SubmitBatch(specs, service.SubmitOpts{Tenant: tenant})
-	switch {
-	case errors.Is(err, service.ErrInvalidSpec):
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrTenantQuota), errors.Is(err, service.ErrRateLimited):
-		retry := p.c.retryAfterHint()
-		var se *service.ShedError
-		if errors.As(err, &se) && se.RetryAfter > retry {
-			retry = se.RetryAfter
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusServiceUnavailable, "dispatch: degraded batch: %v", err)
+	if err != nil {
+		p.localError(w, "batch", err)
 		return
 	}
 	now := p.c.cfg.Clock()
@@ -369,42 +351,48 @@ func (p *proxy) batchLocal(w http.ResponseWriter, r *http.Request, specs []servi
 	}{statuses})
 }
 
-// relaySubmit finishes a forwarded submission: tracks accepted jobs,
-// merges Retry-After hints on shed, and passes everything else through.
+// relaySubmit finishes an accepted forwarded submission: tracks the job.
 func (p *proxy) relaySubmit(w http.ResponseWriter, resp *http.Response, spec service.JobSpec, digest, key, peer string) {
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusAccepted, http.StatusOK:
-		var st service.Status
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			writeError(w, http.StatusBadGateway, "decoding worker response: %v", err)
-			return
-		}
-		j := &remoteJob{
-			id: st.ID, digest: digest, key: key, spec: spec,
-			tenant: st.Tenant, peer: peer, created: p.c.cfg.Clock(),
-		}
-		if st.State.Terminal() {
-			// The worker answered from its own cache: terminal on arrival.
-			j.terminal, j.final, j.finished = true, &st, p.c.cfg.Clock()
-		}
-		p.c.track(j)
-		p.c.cfg.Obs.Add(obs.DispatchForwarded, 1)
-		w.Header().Set("Location", "/v1/jobs/"+st.ID)
-		writeJSON(w, resp.StatusCode, st)
-	case http.StatusTooManyRequests:
-		// Shed: the cluster-wide hint and the owning worker's hint answer
-		// different questions (global drain vs. that queue's drain); a
-		// client obeying the max of both is safe either way. Always
-		// integer seconds.
-		hint := p.c.retryAfterHint()
-		if peerHint := parseRetryAfter(resp.Header.Get("Retry-After"), p.c.cfg.Clock()); peerHint > hint {
-			hint = peerHint
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(hint))
-		passthrough(w, resp)
+	var st service.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		writeError(w, http.StatusBadGateway, "decoding worker response: %v", err)
+		return
+	}
+	j := &remoteJob{
+		id: st.ID, digest: digest, placement: digest, key: key, spec: spec,
+		tenant: st.Tenant, peer: peer, created: p.c.cfg.Clock(),
+	}
+	if st.State.Terminal() {
+		// The worker answered from its own cache: terminal on arrival.
+		j.terminal, j.final, j.finished = true, &st, p.c.cfg.Clock()
+	}
+	p.c.track(j)
+	p.c.cfg.Obs.Add(obs.DispatchForwarded, 1)
+	w.Header().Set("Location", "/v1/jobs/"+st.ID)
+	writeJSON(w, resp.StatusCode, st)
+}
+
+// retryAfter sets a shed answer's Retry-After to the larger of the
+// cluster-wide hint and the shedding service's own. They answer different
+// questions (global drain vs. that queue's or tenant's drain); a client
+// obeying the max of both is safe either way. Always integer seconds.
+func (p *proxy) retryAfter(w http.ResponseWriter, serviceHint int) {
+	w.Header().Set("Retry-After", strconv.Itoa(max(p.c.retryAfterHint(), serviceHint)))
+}
+
+// localError answers a submission the embedded fallback service refused:
+// 400 for an invalid spec, 429 with a Retry-After for a shed, 503 for
+// anything else (shutdown, a wedged journal).
+func (p *proxy) localError(w http.ResponseWriter, what string, err error) {
+	var se *service.ShedError
+	switch {
+	case errors.Is(err, service.ErrInvalidSpec):
+		writeError(w, http.StatusBadRequest, "%v", err)
+	case errors.As(err, &se):
+		p.retryAfter(w, se.RetryAfter)
+		writeError(w, http.StatusTooManyRequests, "%v", err)
 	default:
-		passthrough(w, resp)
+		writeError(w, http.StatusServiceUnavailable, "dispatch: degraded %s: %v", what, err)
 	}
 }
 

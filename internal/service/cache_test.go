@@ -138,6 +138,33 @@ func TestFlightCollapsesConcurrentDuplicates(t *testing.T) {
 	}
 }
 
+// TestBatchJobLeadsFlight checks that a batch job takes its digest's free
+// flight slot, so an identical single submission made while it runs
+// attaches to it instead of simulating the spec a second time.
+func TestBatchJobLeadsFlight(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	svc, _ := newCacheService(t, Config{Workers: 1, Execute: blockingExecute(started, release)})
+
+	batch, err := svc.SubmitBatch([]JobSpec{specFig3()}, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	dup, existed, err := svc.SubmitWith(specFig3(), SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !existed || dup.ID() != batch[0].ID() {
+		t.Fatalf("duplicate got job %s (existed=%v), want batch job %s", dup.ID(), existed, batch[0].ID())
+	}
+	close(release)
+	if st := waitTerminal(t, batch[0]); st.State != StateSucceeded {
+		t.Fatalf("batch job %s: %s", st.State, st.Error)
+	}
+	waitFlights(t, svc)
+}
+
 func TestFlightReleasedOnFailure(t *testing.T) {
 	fail := func(ctx context.Context, spec JobSpec, base experiment.Runner, progress func(done, total int)) (*Output, error) {
 		return nil, context.DeadlineExceeded

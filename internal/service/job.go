@@ -63,10 +63,8 @@ type Job struct {
 	spec    JobSpec
 	idemKey string // immutable after construction
 	// digest is the spec's content address, set at submit time in cache
-	// mode (empty otherwise); flightLeader records whether this job holds
-	// the singleflight slot for that digest. Both immutable after submit.
-	digest       string
-	flightLeader bool
+	// mode (empty otherwise). Immutable after submit.
+	digest string
 	// replica is the base URL of the ring successor this job's checkpoint
 	// records stream to (Replicate mode; "" otherwise). Immutable after
 	// submit.
@@ -92,30 +90,28 @@ type Job struct {
 	finished time.Time
 	cancel   context.CancelFunc
 	wantStop bool
-	// nowFn supplies wall time for the ETA estimate (overridden by the
-	// service clock, so tests with fake clocks get deterministic ETAs).
+	// nowFn supplies wall time for the ETA estimate: the service clock, so
+	// tests with fake clocks get deterministic ETAs.
 	nowFn func() time.Time
 	// cps is the contiguous prefix of completed-and-checkpointed sweep
 	// cells; a retry or a post-crash resume restarts from len(cps).
 	cps []experiment.CellStats
 }
 
-// newJob creates a queued job with a fresh random ID.
-func newJob(spec JobSpec, idemKey string, now time.Time) *Job {
-	return rehydrate(newJobID(), spec, idemKey, now)
-}
-
-// rehydrate builds a queued job with a known ID — the journal replay path.
-// Attempt counts and checkpoints are layered on by the replayer.
-func rehydrate(id string, spec JobSpec, idemKey string, created time.Time) *Job {
+// newJob builds every job: queued under id, created at created, admitted
+// under the canonical tenant, with the service clock for its ETA. Submit,
+// batch, cache hit, restore and replay layer the rest on top: a digest,
+// checkpoints, an attempt count or a terminal state.
+func (s *Service) newJob(id string, spec JobSpec, idemKey, tenant string, created time.Time) *Job {
 	return &Job{
 		id:      id,
 		spec:    spec,
 		idemKey: idemKey,
+		tenant:  tenant,
 		notify:  make(chan struct{}),
 		state:   StateQueued,
 		created: created,
-		nowFn:   time.Now,
+		nowFn:   s.cfg.Clock,
 		events:  []StreamEvent{{Type: "status", State: StateQueued}},
 	}
 }

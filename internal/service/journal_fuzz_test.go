@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"testing"
+
+	"mobic/internal/cache"
 )
 
 // FuzzJournalReplay hardens the WAL decoder against arbitrary on-disk bytes
@@ -13,7 +15,11 @@ import (
 //  2. the valid-prefix offset is within [0, len(data)];
 //  3. re-encoding the decoded records yields an image that decodes to the
 //     same count with no torn tail (round-trip stability), so a compaction
-//     of recovered state can always be replayed.
+//     of recovered state can always be replayed;
+//  4. folding the records into a fresh service (restore, in cache mode so
+//     re-enqueued jobs take flight slots) never panics, and stores each job
+//     ID once: every stored job comes from a submit or batch entry, and
+//     every re-enqueued job is the one stored under its ID.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(journalMagic)
@@ -30,7 +36,22 @@ func FuzzJournalReplay(f *testing.F) {
 	flipped := bytes.Clone(buf.Bytes())
 	flipped[len(journalMagic)+4] ^= 0x01
 	f.Add(flipped)
+	// A batch frame with an entry lacking a spec and one lacking an ID,
+	// whose valid entry repeats the submit's ID above.
+	if err := encodeFrame(&buf, record{Type: recBatch, Tenant: "gold", Batch: []batchEntry{
+		{Job: "cd", Spec: nil},
+		{Job: "", Spec: &JobSpec{Experiment: "fig3"}},
+		{Job: "ab", Spec: &JobSpec{Experiment: "fig5"}},
+		{Job: "ef", Spec: &JobSpec{Experiment: "fig5"}},
+	}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 
+	c, err := cache.Open(cache.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, n := decodeRecords(data)
 		if n < 0 || n > len(data) {
@@ -54,6 +75,35 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		if len(again) != len(recs) {
 			t.Fatalf("round trip changed record count: %d -> %d", len(recs), len(again))
+		}
+
+		ids := make(map[string]bool)
+		for _, rec := range recs {
+			switch rec.Type {
+			case recSubmit:
+				ids[rec.Job] = ids[rec.Job] || rec.Spec != nil
+			case recBatch:
+				for _, be := range rec.Batch {
+					ids[be.Job] = ids[be.Job] || be.Spec != nil
+				}
+			}
+		}
+		svc := newService(Config{Cache: c}.withDefaults())
+		pending := svc.restore(recs)
+		for _, job := range svc.store.All() {
+			if job.ID() == "" || !ids[job.ID()] {
+				t.Fatalf("stored job %q comes from no submit or batch entry", job.ID())
+			}
+		}
+		seen := make(map[string]bool)
+		for _, job := range pending {
+			if seen[job.ID()] {
+				t.Fatalf("job %q re-enqueued twice", job.ID())
+			}
+			seen[job.ID()] = true
+			if stored, ok := svc.store.Get(job.ID()); !ok || stored != job {
+				t.Fatalf("re-enqueued job %q is not the one stored under its ID", job.ID())
+			}
 		}
 	})
 }

@@ -217,7 +217,7 @@ type Service struct {
 
 	// compactMu makes journal compaction atomic with respect to the
 	// append+update pairs that make a record durable and then reflect it
-	// in the store. Writers of state (admitNew, journalApply) hold the
+	// in the store. Writers of state (persist, journalApply) hold the
 	// read side across both steps; the janitor holds the write side
 	// across snapshot-and-swap. Without it, a snapshot taken between an
 	// fsync'd Append and its store update misses the record, and the
@@ -317,25 +317,19 @@ func (s *Service) restore(recs []record) []*Job {
 	starts := make(map[string]time.Time)
 	for _, rec := range recs {
 		switch rec.Type {
-		case recSubmit:
-			if rec.Spec == nil || jobs[rec.Job] != nil {
-				continue
+		case recSubmit, recBatch:
+			// A submit admits one job; a batch frame admits all of its
+			// entries, and the CRC framing already guaranteed we either see
+			// every entry or none.
+			entries := rec.Batch
+			if rec.Type == recSubmit {
+				entries = []batchEntry{{Job: rec.Job, Spec: rec.Spec}}
 			}
-			job := rehydrate(rec.Job, *rec.Spec, rec.Key, rec.Time)
-			job.nowFn = s.cfg.Clock
-			job.tenant = s.cfg.Tenants.Canonical(rec.Tenant)
-			jobs[rec.Job] = job
-			order = append(order, job)
-		case recBatch:
-			// One frame admits the whole batch; the CRC framing already
-			// guaranteed we either see all of these entries or none.
-			for _, be := range rec.Batch {
+			for _, be := range entries {
 				if be.Spec == nil || be.Job == "" || jobs[be.Job] != nil {
 					continue
 				}
-				job := rehydrate(be.Job, *be.Spec, "", rec.Time)
-				job.nowFn = s.cfg.Clock
-				job.tenant = s.cfg.Tenants.Canonical(rec.Tenant)
+				job := s.newJob(be.Job, *be.Spec, rec.Key, s.cfg.Tenants.Canonical(rec.Tenant), rec.Time)
 				jobs[be.Job] = job
 				order = append(order, job)
 			}
@@ -402,7 +396,7 @@ func (s *Service) restore(recs []record) []*Job {
 			// Re-enqueued jobs re-take their flight slot so duplicate
 			// submissions arriving after the reboot still collapse.
 			job.digest = job.spec.Digest()
-			_, job.flightLeader = s.flights.Begin(job.digest, job.id)
+			s.flights.Begin(job.digest, job.id)
 		}
 		s.store.Put(job)
 		pending = append(pending, job)
@@ -592,7 +586,7 @@ func (s *Service) Start() {
 				if s.journal != nil && (s.journal.Size() > s.cfg.CompactBytes || s.journal.Err() != nil) {
 					// The write side of compactMu excludes every in-flight
 					// append+update pair, so the snapshot and the WAL swap
-					// are atomic with respect to admitNew/journalApply: no
+					// are atomic with respect to persist/journalApply: no
 					// record fsync'd before the swap can be missing from
 					// the snapshot that replaces it.
 					s.compactMu.Lock()
@@ -667,56 +661,64 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 			}
 		}
 	}
-	job, err = s.admitNew(newJobID(), spec, opts, tenant, digest, nil)
-	return job, false, err
+	job = s.newJob(newJobID(), spec, opts.Key, tenant, s.cfg.Clock())
+	job.digest = digest
+	if err := s.admitJobs(tenant, opts, []*Job{job}, jobRecords(job)); err != nil {
+		return nil, false, err
+	}
+	return job, false, nil
 }
 
-// admitNew is the admission tail Submit and Restore share; callers hold
-// submitMu. It admits one job for tenant and builds it under id, seeded
-// with the completed-cell prefix cps. digest is the spec's digest in
-// cache mode ("" otherwise), and the new job takes its in-flight slot.
-// The job's records are journaled and the job stored as one step, then it
-// starts replicating and is queued.
-func (s *Service) admitNew(id string, spec JobSpec, opts SubmitOpts, tenant, digest string, cps []experiment.CellStats) (*Job, error) {
-	if err := s.admit(tenant, 1); err != nil {
-		return nil, err
+// admitJobs is the admission tail every new job passes through: submit,
+// restore and batch. Callers hold submitMu and pass the WAL records that
+// admit jobs. One admission decision covers all of jobs; the records are
+// journaled and the jobs stored as one step; then each job takes its
+// digest's flight slot if it is free, starts replicating and is queued.
+func (s *Service) admitJobs(tenant string, opts SubmitOpts, jobs []*Job, recs []record) error {
+	if err := s.admit(tenant, len(jobs)); err != nil {
+		return err
 	}
-	job := rehydrate(id, spec, opts.Key, s.cfg.Clock())
-	job.nowFn = s.cfg.Clock
-	job.tenant = tenant
 	if s.repl != nil {
-		job.replica = opts.Replica
+		for _, job := range jobs {
+			job.replica = opts.Replica
+		}
 	}
-	for i, cs := range cps {
-		job.addCheckpoint(i, cs)
+	if err := s.persist(jobs, recs); err != nil {
+		return err
 	}
-	// Append and Put under the compaction read-lock: once the submit
-	// record is durable the store must reflect the job before any
-	// compaction snapshot runs, or the janitor would rewrite the WAL
-	// without it and a crash would lose an acknowledged job.
+	for _, job := range jobs {
+		if job.digest != "" {
+			s.flights.Begin(job.digest, job.id)
+		}
+		// Replication starts before a worker can pop the job, so its
+		// opening image is the submit and seeded prefix just journaled.
+		if s.repl != nil {
+			s.repl.begin(job)
+		}
+		s.enqueue(job)
+	}
+	return nil
+}
+
+// persist journals recs and stores jobs as one step, under the compaction
+// read-lock: once a record is durable the store must reflect its job
+// before any compaction snapshot runs, or the janitor would rewrite the
+// WAL without it and a crash would lose an acknowledged job. An append
+// error stores nothing: the WAL contract is durable before acknowledged.
+func (s *Service) persist(jobs []*Job, recs []record) error {
 	s.compactMu.RLock()
+	defer s.compactMu.RUnlock()
 	if s.journal != nil {
-		// WAL contract: durable before acknowledged.
-		for _, rec := range jobRecords(job) {
+		for _, rec := range recs {
 			if err := s.journal.Append(rec); err != nil {
-				s.compactMu.RUnlock()
-				return nil, err
+				return err
 			}
 		}
 	}
-	if digest != "" {
-		job.digest = digest
-		_, job.flightLeader = s.flights.Begin(digest, id)
+	for _, job := range jobs {
+		s.store.Put(job)
 	}
-	s.store.Put(job)
-	s.compactMu.RUnlock()
-	// Replication starts before a worker can pop the job, so its opening
-	// image is the submit and seeded prefix just journaled.
-	if s.repl != nil {
-		s.repl.begin(job)
-	}
-	s.enqueue(job)
-	return job, nil
+	return nil
 }
 
 // enqueue places an admitted job on its tenant's sub-queue and bumps the
@@ -745,23 +747,14 @@ func (s *Service) completeFromCache(spec JobSpec, key, digest, tenant string) (*
 		return nil, false
 	}
 	now := s.cfg.Clock()
-	job := newJob(spec, key, now)
-	job.nowFn = s.cfg.Clock
+	job := s.newJob(newJobID(), spec, key, tenant, now)
 	job.digest = digest
-	job.tenant = tenant
-	s.compactMu.RLock()
-	if s.journal != nil {
-		if err := s.journal.Append(record{Type: recSubmit, Job: job.ID(), Time: now, Spec: &spec, Key: key, Tenant: tenant}); err != nil {
-			// The journal is wedged; fall through to the normal submit
-			// path, which surfaces the error to the caller.
-			s.compactMu.RUnlock()
-			return nil, false
-		}
-		_ = s.journal.Append(record{Type: recFinish, Job: job.ID(), Time: now, State: StateSucceeded, Output: &out})
-	}
 	job.finish(StateSucceeded, &out, "", now)
-	s.store.Put(job)
-	s.compactMu.RUnlock()
+	if err := s.persist([]*Job{job}, jobRecords(job)); err != nil {
+		// The journal is wedged; fall through to the normal submit path,
+		// which surfaces the error to the caller.
+		return nil, false
+	}
 	s.metrics.submitted.Add(1)
 	s.metrics.completed.Add(1)
 	// A cache hit consumes no queue slot or worker, so it bypasses the
@@ -775,7 +768,7 @@ func (s *Service) completeFromCache(spec JobSpec, key, digest, tenant string) (*
 
 // settle closes out a job's content-addressed bookkeeping at its terminal
 // transition: a successful output is published to the result cache under
-// the job's digest, and the in-flight leadership (if this job held it) is
+// the job's digest, and the in-flight leadership (if this job holds it) is
 // released so later identical submissions consult the cache instead of
 // attaching. No-op outside cache mode.
 func (s *Service) settle(job *Job, out *Output) {
@@ -787,9 +780,7 @@ func (s *Service) settle(job *Job, out *Output) {
 			s.cfg.Cache.Put(job.digest, data)
 		}
 	}
-	if job.flightLeader {
-		s.flights.End(job.digest)
-	}
+	s.flights.End(job.digest, job.id)
 }
 
 // Restore enqueues a job under a caller-chosen ID: the coordinator's
@@ -840,11 +831,18 @@ func (s *Service) Restore(id string, spec JobSpec, opts SubmitOpts) (job *Job, e
 			return prev, true, nil
 		}
 	}
-	job, err = s.admitNew(id, spec, opts, tenant, digest, cps)
-	if err == nil && len(cps) > 0 {
+	job = s.newJob(id, spec, opts.Key, tenant, s.cfg.Clock())
+	job.digest = digest
+	for i, cs := range cps {
+		job.addCheckpoint(i, cs)
+	}
+	if err := s.admitJobs(tenant, opts, []*Job{job}, jobRecords(job)); err != nil {
+		return nil, false, err
+	}
+	if len(cps) > 0 {
 		s.cfg.Obs.Add(obs.ReplRestores, 1)
 	}
-	return job, false, err
+	return job, false, nil
 }
 
 // Replicas exposes the checkpoint-replica store (the receiving side of

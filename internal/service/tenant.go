@@ -84,9 +84,11 @@ const MaxBatchJobs = 64
 // after a crash either sees the whole batch or none of it, never a
 // prefix.
 //
-// Batch jobs carry no idempotency keys and never attach to in-flight
-// duplicates (each job is its own leader-less submission); their results
-// still publish to the result cache under each spec's digest.
+// Batch jobs carry no idempotency keys. In cache mode each takes its
+// spec's flight slot when it is free, so an identical single submission
+// attaches to it; a batch job itself never attaches to a job in flight
+// and never answers from the cache, and its result still publishes to
+// the cache under its spec's digest.
 func (s *Service) SubmitBatch(specs []JobSpec, opts SubmitOpts) ([]*Job, error) {
 	if len(specs) == 0 {
 		return nil, invalidf("batch must contain at least one job")
@@ -108,46 +110,21 @@ func (s *Service) SubmitBatch(specs []JobSpec, opts SubmitOpts) ([]*Job, error) 
 	if s.closed {
 		return nil, ErrShuttingDown
 	}
-	// One admission decision for the whole batch: n jobs are admitted
-	// together or shed together (a partial admit would break atomicity).
-	if err := s.admit(tenant, len(specs)); err != nil {
-		return nil, err
-	}
 	now := s.cfg.Clock()
 	jobs := make([]*Job, len(specs))
 	entries := make([]batchEntry, len(specs))
 	for i := range specs {
-		job := newJob(specs[i], "", now)
-		job.nowFn = s.cfg.Clock
-		job.tenant = tenant
-		if s.repl != nil {
-			job.replica = opts.Replica
-		}
+		job := s.newJob(newJobID(), specs[i], "", tenant, now)
 		if s.cfg.Cache != nil {
 			job.digest = specs[i].Digest()
 		}
 		jobs[i] = job
 		entries[i] = batchEntry{Job: job.ID(), Spec: &specs[i]}
 	}
-	// The single append is the atomicity point: the whole batch becomes
-	// durable in one frame, and the store reflects every job before any
-	// compaction snapshot can run.
-	s.compactMu.RLock()
-	if s.journal != nil {
-		if err := s.journal.Append(record{Type: recBatch, Time: now, Tenant: tenant, Batch: entries}); err != nil {
-			s.compactMu.RUnlock()
-			return nil, err
-		}
-	}
-	for _, job := range jobs {
-		s.store.Put(job)
-	}
-	s.compactMu.RUnlock()
-	for _, job := range jobs {
-		if s.repl != nil {
-			s.repl.begin(job)
-		}
-		s.enqueue(job)
+	// One admission decision and one WAL frame for the whole batch: n
+	// jobs are admitted and made durable together or not at all.
+	if err := s.admitJobs(tenant, opts, jobs, []record{{Type: recBatch, Time: now, Tenant: tenant, Batch: entries}}); err != nil {
+		return nil, err
 	}
 	return jobs, nil
 }
