@@ -11,9 +11,7 @@ import (
 )
 
 // TestReplayParentWAL replays testdata/parent.wal, a journal written by the
-// service at commit 72142e3 under a fixed clock, before submission, batch,
-// cache-hit and replay were routed through one admission path. It holds,
-// in append order:
+// service at commit 72142e3 under a fixed clock. It holds, in append order:
 //
 //   - a sweep submitted with idempotency key "alpha-key", started once and
 //     checkpointed at cell 0 when the daemon died;
