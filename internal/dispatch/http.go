@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -531,7 +532,7 @@ func (p *proxy) stream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if local {
-			p.streamLocal(w, r, enc, flusher, j)
+			p.streamLocal(r, enc, flusher, j)
 			return
 		}
 		delivered, done := p.copyStream(w, r, flusher, peer, id, written)
@@ -606,43 +607,33 @@ func (p *proxy) copyStream(w io.Writer, r *http.Request, flusher http.Flusher, p
 }
 
 // streamLocal serves a degraded-mode job's event log straight from the
-// embedded fallback service — same replay loop a worker runs, with the
-// terminal status decorated as degraded.
-func (p *proxy) streamLocal(w http.ResponseWriter, r *http.Request, enc *json.Encoder, flusher http.Flusher, j *remoteJob) {
+// embedded fallback service — the same follow loop a worker runs, with the
+// terminal status decorated as degraded. It stops when the client or the
+// coordinator goes away.
+func (p *proxy) streamLocal(r *http.Request, enc *json.Encoder, flusher http.Flusher, j *remoteJob) {
 	job, ok := p.c.cfg.Local.Get(j.id)
 	if !ok {
 		return
 	}
-	next := 0
-	for {
-		events, notify := job.EventsSince(next)
-		for _, ev := range events {
-			if ev.Type == "result" && ev.Stat != nil {
-				st := *ev.Stat
-				st.Degraded = true
-				ev.Stat = &st
-			}
-			if err := enc.Encode(ev); err != nil {
-				return // client went away
-			}
-			// Same per-event flush as the worker's handler: a batch-end
-			// flush starved the client of the last line in every burst.
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if ev.Type == "result" {
-				return
-			}
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	defer context.AfterFunc(p.c.ctx, cancel)()
+	job.Follow(ctx, func(ev service.StreamEvent) bool {
+		if ev.Type == "result" && ev.Stat != nil {
+			st := *ev.Stat
+			st.Degraded = true
+			ev.Stat = &st
 		}
-		next += len(events)
-		select {
-		case <-notify:
-		case <-r.Context().Done():
-			return
-		case <-p.c.ctx.Done():
-			return
+		if err := enc.Encode(ev); err != nil {
+			return false // client went away
 		}
-	}
+		// Same per-event flush as the worker's handler: a batch-end flush
+		// starved the client of the last line in every burst.
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	})
 }
 
 func (p *proxy) livez(w http.ResponseWriter, r *http.Request) {

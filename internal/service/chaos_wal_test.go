@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -66,43 +67,69 @@ func TestJournalWedgesAndCompactHeals(t *testing.T) {
 // TestJournalTornWriteTruncatesOnReplay pins the interplay between torn
 // writes and recovery: a write severed mid-frame wedges the journal, and a
 // reopen replays only up to the last intact frame — the torn tail is
-// truncated, never parsed as a record.
+// truncated, never parsed as a record. The write is torn either in a
+// single-record append after an intact one, or inside the second frame of
+// one two-record append, whose intact first frame then replays alone.
 func TestJournalTornWriteTruncatesOnReplay(t *testing.T) {
-	dir := t.TempDir()
-	inj := chaos.New(chaos.MustParse("seed 5\nwrite wal nth=2 torn=6\n"))
-	j, _, err := openJournal(dir, chaosWrap(inj, "wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := replSweep()
-	if err := j.Append(record{Type: recSubmit, Job: "a", Spec: &spec}); err != nil {
+	sub := record{Type: recSubmit, Job: "a", Spec: &spec}
+	start := record{Type: recStart, Job: "a", Attempt: 1}
+	subFrame, err := appendFrames(nil, sub)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Torn: only 6 bytes of the frame reach the file, then the error.
-	if err := j.Append(record{Type: recStart, Job: "a", Attempt: 1}); err == nil {
-		t.Fatal("torn append reported success")
-	}
-	j.Close()
+	for _, tc := range []struct {
+		name     string
+		schedule string
+		appends  [][]record // every append but the last succeeds
+	}{
+		// Torn: only 6 bytes of the start frame reach the file.
+		{"single-record", "write wal nth=2 torn=6", [][]record{{sub}, {start}}},
+		// Torn 10 bytes into the start frame, the second of the write.
+		{"two-record", fmt.Sprintf("write wal nth=1 torn=%d", len(subFrame)+10), [][]record{{sub, start}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			inj := chaos.New(chaos.MustParse("seed 5\n" + tc.schedule + "\n"))
+			j, _, err := openJournal(dir, chaosWrap(inj, "wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(tc.appends) - 1
+			for _, recs := range tc.appends[:last] {
+				if err := j.Append(recs...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Append(tc.appends[last]...); err == nil {
+				t.Fatal("torn append reported success")
+			}
+			if j.Err() == nil || j.Append(start) == nil {
+				t.Fatal("journal not wedged after a torn append")
+			}
+			j.Close()
 
-	j2, recs, err := openJournal(dir, nil)
-	if err != nil {
-		t.Fatalf("reopen after torn write: %v", err)
-	}
-	defer j2.Close()
-	if len(recs) != 1 || recs[0].Type != recSubmit {
-		t.Fatalf("replayed %d records (want just the intact submit)", len(recs))
-	}
-	// The torn tail was truncated: appends land cleanly on the boundary.
-	if err := j2.Append(record{Type: recStart, Job: "a", Attempt: 1}); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	_, recs, err = openJournal(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("replayed %d records after post-truncation append, want 2", len(recs))
+			j2, recs, err := openJournal(dir, nil)
+			if err != nil {
+				t.Fatalf("reopen after torn write: %v", err)
+			}
+			defer j2.Close()
+			if len(recs) != 1 || recs[0].Type != recSubmit {
+				t.Fatalf("replayed %d records (want just the intact submit)", len(recs))
+			}
+			// The torn tail was truncated: appends land cleanly on the boundary.
+			if err := j2.Append(start); err != nil {
+				t.Fatal(err)
+			}
+			j2.Close()
+			_, recs, err = openJournal(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 2 {
+				t.Fatalf("replayed %d records after post-truncation append, want 2", len(recs))
+			}
+		})
 	}
 }
 

@@ -84,34 +84,21 @@ func (a *api) tenant(r *http.Request) string {
 	return a.svc.ResolveTenant(r.Header.Get("Authorization"), r.Header.Get("X-Mobic-Tenant"))
 }
 
-// shed writes the 429 for an admission refusal. A *ShedError carries the
-// per-tenant Retry-After (quota and rate sheds predict when that tenant
-// frees up); a bare ErrQueueFull falls back to the global queue hint.
-func (a *api) shed(w http.ResponseWriter, err error) {
-	retry := a.svc.RetryAfterHint()
-	var se *ShedError
-	if errors.As(err, &se) {
-		retry = se.RetryAfter
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	writeError(w, http.StatusTooManyRequests, "%v", err)
-}
-
-// isShed reports whether err is any admission refusal (capacity, tenant
-// quota, or rate limit) — everything that maps to 429.
-func isShed(err error) bool {
-	return errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQuota) || errors.Is(err, ErrRateLimited)
-}
-
 // admitError writes the status for a failed submit, batch or restore: 400
 // for an invalid spec, 429 for a shed, 503 while shutting down, 500
 // otherwise.
+//
+// Every shed is a *ShedError (admit is the only producer), whose
+// Retry-After is the per-tenant hint: quota and rate sheds predict when
+// that tenant frees up.
 func (a *api) admitError(w http.ResponseWriter, err error) {
+	var se *ShedError
 	switch {
 	case errors.Is(err, ErrInvalidSpec):
 		writeError(w, http.StatusBadRequest, "%v", err)
-	case isShed(err):
-		a.shed(w, err)
+	case errors.As(err, &se):
+		w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
+		writeError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
@@ -336,31 +323,19 @@ func (a *api) stream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	enc := json.NewEncoder(w)
-	next := 0
-	for {
-		events, notify := job.EventsSince(next)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				return // client went away
-			}
-			// Flush per event, not per batch: batching delayed every line
-			// but the last in a burst, and a burst ending in "result"
-			// returned before flushing at all, leaving the final events
-			// stuck in the buffer until the handler's implicit close.
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if ev.Type == "result" {
-				return
-			}
+	job.Follow(r.Context(), func(ev StreamEvent) bool {
+		if err := enc.Encode(ev); err != nil {
+			return false // client went away
 		}
-		next += len(events)
-		select {
-		case <-notify:
-		case <-r.Context().Done():
-			return
+		// Flush per event, not per batch: batching delayed every line but
+		// the last in a burst, and a burst ending in "result" returned
+		// before flushing at all, leaving the final events stuck in the
+		// buffer until the handler's implicit close.
+		if flusher != nil {
+			flusher.Flush()
 		}
-	}
+		return true
+	})
 }
 
 // livez is the liveness probe: 200 as long as the process can serve HTTP

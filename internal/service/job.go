@@ -57,7 +57,7 @@ type StreamEvent struct {
 // away, so streams see every completed cell. Its length is bounded by the
 // job's cell count (seeds × sweep points) plus two transitions. A finished
 // job holds the log in an exact-size slice whose final "result" event
-// carries no status: EventsSince attaches it when handing the event out.
+// carries no status: eventsSince attaches it when handing the event out.
 type Job struct {
 	id      string
 	spec    JobSpec
@@ -249,10 +249,30 @@ func (j *Job) finish(state State, out *Output, errMsg string, now time.Time) {
 	j.changed()
 }
 
-// EventsSince returns the stream events from index i on, plus the channel
-// closed on the next change. Stream handlers replay events in order and
-// block on the channel between batches.
-func (j *Job) EventsSince(i int) ([]StreamEvent, <-chan struct{}) {
+// Follow hands the job's stream events to yield in order, from the first,
+// waiting for new ones between batches. It returns once yield has taken
+// the result event, once yield returns false, or once ctx ends. Stream
+// handlers write and flush each event in yield.
+func (j *Job) Follow(ctx context.Context, yield func(StreamEvent) bool) {
+	for next := 0; ; {
+		events, notify := j.eventsSince(next)
+		for _, ev := range events {
+			if !yield(ev) || ev.Type == "result" {
+				return
+			}
+		}
+		next += len(events)
+		select {
+		case <-notify:
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// eventsSince returns the stream events from index i on, plus the channel
+// closed on the next change.
+func (j *Job) eventsSince(i int) ([]StreamEvent, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if i > len(j.events) {

@@ -17,7 +17,10 @@ import (
 // The write-ahead journal makes mobicd jobs durable: every lifecycle
 // transition is appended — and fsync'd — before it becomes visible, so a
 // crashed or killed daemon recovers its queue on the next boot and resumes
-// interrupted sweeps from their last completed-cell checkpoint.
+// interrupted sweeps from their last completed-cell checkpoint. Each
+// acknowledgement is one write and one fsync, however many records it
+// carries (a cache hit's submit and finish, a restore's submit and seeded
+// checkpoints).
 //
 // On-disk format: a magic header line followed by length-prefixed,
 // CRC32-framed records. Each frame is
@@ -100,27 +103,20 @@ type record struct {
 	Output *Output `json:"output,omitempty"`
 }
 
-// frameBytes renders one record as a complete length+CRC frame.
-func frameBytes(rec record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode: %w", err)
+// appendFrames appends each record to buf as a complete length+CRC frame.
+// It is the one frame encoder: journal appends, compaction images and
+// replication batches all go through it.
+func appendFrames(buf []byte, recs ...record) ([]byte, error) {
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return buf, fmt.Errorf("journal: encode: %w", err)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+		buf = append(buf, payload...)
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
 	return buf, nil
-}
-
-// encodeFrame writes one length+CRC framed record.
-func encodeFrame(w io.Writer, rec record) error {
-	buf, err := frameBytes(rec)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }
 
 // decodeRecords parses the longest valid prefix of a journal image and
@@ -245,18 +241,20 @@ func syncDir(dir string) {
 	}
 }
 
-// Append encodes, writes and fsyncs one record. The record is durable when
-// Append returns nil. A failure wedges the journal (see the type comment):
-// every later Append short-circuits with the same error — surfaced by Err,
-// which flips /readyz to 503 — until a Compact rebuilds the file from live
-// state and clears it.
-func (j *Journal) Append(rec record) error {
+// Append encodes recs into one buffer, then writes and fsyncs it: one
+// write and one fsync per call, however many records it carries. The
+// records are durable when Append returns nil. A failure wedges the
+// journal (see the type comment): every later Append short-circuits with
+// the same error — surfaced by Err, which flips /readyz to 503 — until a
+// Compact rebuilds the file from live state and clears it. A write torn
+// inside a later frame leaves the earlier frames of the call replayable.
+func (j *Journal) Append(recs ...record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.lastErr != nil {
 		return j.lastErr
 	}
-	buf, err := frameBytes(rec)
+	buf, err := appendFrames(nil, recs...)
 	if err == nil {
 		_, err = j.f.Write(buf)
 	}
@@ -286,20 +284,6 @@ func (j *Journal) Size() int64 {
 	return j.size
 }
 
-// countingWriter counts the bytes that pass through to w. Compact uses it
-// to know the compacted WAL's size without any post-rename syscall — the
-// rename is the point of no return, so nothing after it may fail.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // Compact atomically replaces the WAL with the given logical records:
 // write temp file, fsync, rename over the journal, fsync the directory.
 // Appends block for the duration, so no record can race the swap. Callers
@@ -323,14 +307,15 @@ func (j *Journal) Compact(recs []record) error {
 		j.lastErr = fmt.Errorf("journal: compact: %w", err)
 		return j.lastErr
 	}
-	cw := &countingWriter{w: tmp}
-	if _, err := cw.Write(journalMagic); err != nil {
-		return fail(err)
+	// The image's length is the compacted WAL's size, known without any
+	// post-rename syscall: the rename is the point of no return, so nothing
+	// after it may fail.
+	image, err := appendFrames(append([]byte(nil), journalMagic...), recs...)
+	if err == nil {
+		_, err = tmp.Write(image)
 	}
-	for _, rec := range recs {
-		if err := encodeFrame(cw, rec); err != nil {
-			return fail(err)
-		}
+	if err != nil {
+		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail(err)
@@ -349,7 +334,7 @@ func (j *Journal) Compact(recs []record) error {
 	if j.wrap != nil {
 		j.f = j.wrap(tmp)
 	}
-	j.size = cw.n
+	j.size = int64(len(image))
 	j.lastErr = nil
 	return nil
 }

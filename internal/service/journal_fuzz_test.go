@@ -25,28 +25,28 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(journalMagic)
 	f.Add([]byte("not a journal"))
 	// A valid single-record image.
-	var buf bytes.Buffer
-	buf.Write(journalMagic)
-	if err := encodeFrame(&buf, record{Type: recSubmit, Job: "ab", Spec: &JobSpec{Experiment: "fig3"}}); err != nil {
+	buf, err := appendFrames(bytes.Clone(journalMagic), record{Type: recSubmit, Job: "ab", Spec: &JobSpec{Experiment: "fig3"}})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	f.Add(buf)
 	// The same image with a truncated tail and with a flipped CRC byte.
-	f.Add(buf.Bytes()[:buf.Len()-3])
-	flipped := bytes.Clone(buf.Bytes())
+	f.Add(buf[:len(buf)-3])
+	flipped := bytes.Clone(buf)
 	flipped[len(journalMagic)+4] ^= 0x01
 	f.Add(flipped)
 	// A batch frame with an entry lacking a spec and one lacking an ID,
 	// whose valid entry repeats the submit's ID above.
-	if err := encodeFrame(&buf, record{Type: recBatch, Tenant: "gold", Batch: []batchEntry{
+	buf, err = appendFrames(buf, record{Type: recBatch, Tenant: "gold", Batch: []batchEntry{
 		{Job: "cd", Spec: nil},
 		{Job: "", Spec: &JobSpec{Experiment: "fig3"}},
 		{Job: "ab", Spec: &JobSpec{Experiment: "fig5"}},
 		{Job: "ef", Spec: &JobSpec{Experiment: "fig5"}},
-	}}); err != nil {
+	}})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	f.Add(buf)
 
 	c, err := cache.Open(cache.Config{})
 	if err != nil {
@@ -62,16 +62,13 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		// Round-trip: what we decoded must re-encode into a fully valid
 		// journal image.
-		var out bytes.Buffer
-		out.Write(journalMagic)
-		for _, rec := range recs {
-			if err := encodeFrame(&out, rec); err != nil {
-				t.Fatalf("re-encode: %v", err)
-			}
+		out, err := appendFrames(bytes.Clone(journalMagic), recs...)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
 		}
-		again, m := decodeRecords(out.Bytes())
-		if m != out.Len() {
-			t.Fatalf("re-encoded image has a torn tail: valid %d of %d", m, out.Len())
+		again, m := decodeRecords(out)
+		if m != len(out) {
+			t.Fatalf("re-encoded image has a torn tail: valid %d of %d", m, len(out))
 		}
 		if len(again) != len(recs) {
 			t.Fatalf("round trip changed record count: %d -> %d", len(recs), len(again))

@@ -2,11 +2,15 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mobic/internal/cache"
 	"mobic/internal/experiment"
 )
 
@@ -63,6 +67,119 @@ func TestJournalAppendReplayRoundtrip(t *testing.T) {
 	}
 	if got[4].Output == nil || got[4].Output.Result.ID != "stub" {
 		t.Errorf("finish output not preserved: %+v", got[4].Output)
+	}
+}
+
+// TestJournalAppendManyMatchesSingles checks that one Append of several
+// records leaves the same file bytes as one Append per record: batching
+// the write changes the fsync count, not the WAL.
+func TestJournalAppendManyMatchesSingles(t *testing.T) {
+	recs := sampleRecords()
+	image := func(appends ...[]record) []byte {
+		dir := t.TempDir()
+		j, _, err := openJournal(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range appends {
+			if err := j.Append(a...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size := j.Size()
+		j.Close()
+		data, err := os.ReadFile(filepath.Join(dir, "journal.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(data)) != size {
+			t.Fatalf("Size() = %d, file holds %d bytes", size, len(data))
+		}
+		return data
+	}
+	var singles [][]record
+	for _, rec := range recs {
+		singles = append(singles, []record{rec})
+	}
+	if many, one := image(recs), image(singles...); !bytes.Equal(many, one) {
+		t.Fatalf("Append of %d records wrote %d bytes; one Append each wrote %d", len(recs), len(many), len(one))
+	}
+}
+
+// syncCounter counts the journal's fsyncs through the WrapWAL seam.
+type syncCounter struct {
+	WALFile
+	n *atomic.Int64
+}
+
+func (c syncCounter) Sync() error {
+	c.n.Add(1)
+	return c.WALFile.Sync()
+}
+
+// TestOneSyncPerAcknowledgement pins the WAL cost of each admission: every
+// acknowledgement is one write and one fsync, however many records it
+// journals — a cache hit's submit and finish, a restore's submit and the
+// checkpoints of its replica, a batch's one frame.
+func TestOneSyncPerAcknowledgement(t *testing.T) {
+	c, err := cache.Open(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var syncs atomic.Int64
+	svc, err := Open(Config{
+		DataDir:       t.TempDir(),
+		Cache:         c,
+		QueueCapacity: 16,
+		WrapWAL:       func(f WALFile) WALFile { return syncCounter{f, &syncs} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The service is never started, so no worker journals under the count.
+	out, err := json.Marshal(Output{Result: &experiment.Result{ID: "stub"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(specFig3().Digest(), out)
+	seedReplica(t, svc, "00aa11bb22cc33dd", sweepTwoCells(), 2)
+
+	for _, tc := range []struct {
+		name string
+		ack  func() error
+	}{
+		{"cache hit", func() error {
+			job, err := svc.Submit(specFig3())
+			if err == nil {
+				if st, _, _ := job.Snapshot(); st.State != StateSucceeded {
+					return fmt.Errorf("state %s, want a cache hit", st.State)
+				}
+			}
+			return err
+		}},
+		{"restore seeded with a 2-cell replica", func() error {
+			job, _, err := svc.Restore("00aa11bb22cc33dd", sweepTwoCells(), SubmitOpts{})
+			if err == nil && len(job.checkpointed()) != 2 {
+				return fmt.Errorf("restored with %d checkpoints, want 2", len(job.checkpointed()))
+			}
+			return err
+		}},
+		{"submit", func() error {
+			_, err := svc.Submit(tenantSweep(1))
+			return err
+		}},
+		{"batch", func() error {
+			_, err := svc.SubmitBatch([]JobSpec{tenantSweep(2), tenantSweep(3)}, SubmitOpts{})
+			return err
+		}},
+	} {
+		before := syncs.Load()
+		if err := tc.ack(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := syncs.Load() - before; n != 1 {
+			t.Errorf("%s: %d fsyncs, want 1", tc.name, n)
+		}
 	}
 }
 

@@ -44,6 +44,21 @@ func NewMetrics() *Metrics {
 	return &Metrics{latency: obs.NewHist(latencyBounds), ewma: stats.NewEWMA(EWMAAlpha)}
 }
 
+// finished counts one job that reached the terminal state st: the one
+// place a terminal state maps to its counter.
+func (m *Metrics) finished(st State) {
+	switch st {
+	case StateSucceeded:
+		m.completed.Add(1)
+	case StateFailed:
+		m.failed.Add(1)
+	case StateCanceled:
+		m.canceled.Add(1)
+	case StatePoisoned:
+		m.poisoned.Add(1)
+	}
+}
+
 // ObserveLatency records one finished job's wall-clock seconds.
 func (m *Metrics) ObserveLatency(seconds float64) {
 	m.latency.Observe(seconds)

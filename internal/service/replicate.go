@@ -209,14 +209,11 @@ func (r *replicator) flush(rj *replJob) {
 	recs := rj.recs[:n]
 	rj.mu.Unlock()
 
-	var body bytes.Buffer
-	body.Write(replMagic)
-	for i := range recs {
-		if err := encodeFrame(&body, recs[i]); err != nil {
-			return
-		}
+	body, err := appendFrames(append([]byte(nil), replMagic...), recs...)
+	if err != nil {
+		return
 	}
-	resp, err := r.client.Post(rj.target+"/v1/replica/"+rj.id, "application/octet-stream", &body)
+	resp, err := r.client.Post(rj.target+"/v1/replica/"+rj.id, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		r.rec.Add(obs.ReplFailures, 1)
 		return

@@ -29,14 +29,11 @@ func replSweep() JobSpec {
 // replicator POSTs.
 func replBatch(t *testing.T, recs ...record) []byte {
 	t.Helper()
-	var body bytes.Buffer
-	body.Write(replMagic)
-	for _, rec := range recs {
-		if err := encodeFrame(&body, rec); err != nil {
-			t.Fatal(err)
-		}
+	body, err := appendFrames(bytes.Clone(replMagic), recs...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return body.Bytes()
+	return body
 }
 
 func TestReplicaStoreApply(t *testing.T) {

@@ -188,10 +188,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Service is the simulation-as-a-service backend: a bounded FIFO queue, a
-// worker pool over experiment.Runner, a TTL-evicted job store and, with
-// Config.DataDir set, a write-ahead journal that makes all of it survive a
-// crash.
+// Service is the simulation-as-a-service backend: bounded per-tenant fair
+// queueing (internal/fair), a worker pool over experiment.Runner, a
+// TTL-evicted job store and, with Config.DataDir set, a write-ahead
+// journal that makes all of it survive a crash.
 type Service struct {
 	cfg      Config
 	store    *Store
@@ -217,11 +217,11 @@ type Service struct {
 
 	// compactMu makes journal compaction atomic with respect to the
 	// append+update pairs that make a record durable and then reflect it
-	// in the store. Writers of state (persist, journalApply) hold the
-	// read side across both steps; the janitor holds the write side
-	// across snapshot-and-swap. Without it, a snapshot taken between an
-	// fsync'd Append and its store update misses the record, and the
-	// rewrite erases a durably acknowledged job from the WAL.
+	// in the store. commit holds the read side across both steps; the
+	// janitor holds the write side across snapshot-and-swap. Without it, a
+	// snapshot taken between an fsync'd Append and its store update misses
+	// the record, and the rewrite erases a durably acknowledged job from the
+	// WAL.
 	compactMu sync.RWMutex
 }
 
@@ -362,16 +362,7 @@ func (s *Service) restore(recs []record) []*Job {
 			if st, ok := starts[job.id]; ok {
 				job.started = st
 			}
-			switch end.state {
-			case StateSucceeded:
-				s.metrics.completed.Add(1)
-			case StateFailed:
-				s.metrics.failed.Add(1)
-			case StateCanceled:
-				s.metrics.canceled.Add(1)
-			case StatePoisoned:
-				s.metrics.poisoned.Add(1)
-			}
+			s.metrics.finished(end.state)
 			// Re-seed the Retry-After EWMA from the journaled run, so the
 			// first post-boot 429 extrapolates drain time from real
 			// durations instead of the floor.
@@ -385,7 +376,7 @@ func (s *Service) restore(recs []record) []*Job {
 		if s.cfg.Retry.MaxAttempts > 1 && job.attempt >= s.cfg.Retry.MaxAttempts {
 			// Crash-looped through its whole budget: quarantine at boot
 			// instead of letting it take the pool down again.
-			s.metrics.poisoned.Add(1)
+			s.metrics.finished(StatePoisoned)
 			tc.Done.Add(1)
 			job.finish(StatePoisoned, nil,
 				fmt.Sprintf("poisoned at recovery after %d attempts", job.attempt), now)
@@ -414,33 +405,33 @@ func (s *Service) snapshotRecords() []record {
 	return recs
 }
 
-// journalAppend appends rec when the journal is enabled, ignoring the
-// error: Append already latched it for the readiness probe, and a job in
-// flight is better finished in memory than aborted halfway. It is only for
-// records whose store-visible effect is already in memory (start, retry) —
-// losing such a record to a concurrent compaction loses no information,
-// because the snapshot renders the state the record carries. Records that
-// precede their in-memory update must go through journalApply instead.
-func (s *Service) journalAppend(rec record) {
-	if s.journal != nil {
-		_ = s.journal.Append(rec)
-	}
-}
-
-// journalApply journals rec and then runs the in-memory update it pairs
-// with, holding the compaction read-lock across both. That closes the
-// window the janitor's snapshot could otherwise slip into — record durably
-// in the WAL, store not yet updated — where compaction would rewrite the
-// log without the record and a crash would silently undo an acknowledged
-// transition (a finished job re-running, a checkpoint lost). Append errors
-// are ignored for the same reason as journalAppend.
-func (s *Service) journalApply(rec record, apply func()) {
+// commit is the one journal write: it appends recs in one write and one
+// fsync, then runs apply, the in-memory change they record, holding the
+// compaction read-lock across both. That closes the window the janitor's
+// snapshot could otherwise slip into — record durably in the WAL, store
+// not yet updated — where compaction would rewrite the log without the
+// record and a crash would silently undo an acknowledged transition (a
+// job lost, a finished job re-running, a checkpoint lost).
+//
+// An admission (admission true) stores nothing when the append fails: apply
+// is skipped and the error returned, because a job is durable before it is
+// acknowledged. Any other transition belongs to a job a worker already
+// holds: it is applied whether or not the append succeeded, because the
+// failure has already latched /readyz and a job in flight is better
+// finished in memory than aborted halfway. apply may be nil for a record
+// whose effect is already in memory (start, retry).
+func (s *Service) commit(admission bool, apply func(), recs ...record) error {
 	s.compactMu.RLock()
 	defer s.compactMu.RUnlock()
-	if s.journal != nil {
-		_ = s.journal.Append(rec)
+	if s.journal != nil && len(recs) > 0 {
+		if err := s.journal.Append(recs...); err != nil && admission {
+			return err
+		}
 	}
-	apply()
+	if apply != nil {
+		apply()
+	}
+	return nil
 }
 
 // Metrics exposes the service counters.
@@ -556,7 +547,7 @@ func (s *Service) Start() {
 				tc.Queued.Add(-1)
 				tc.Running.Add(1)
 				// runJob takes the job out of Running itself: through
-				// finishRun, or when it schedules a retry.
+				// end, or when it schedules a retry.
 				s.runJob(job)
 				s.queue.Release(tenant)
 			}
@@ -586,7 +577,7 @@ func (s *Service) Start() {
 				if s.journal != nil && (s.journal.Size() > s.cfg.CompactBytes || s.journal.Err() != nil) {
 					// The write side of compactMu excludes every in-flight
 					// append+update pair, so the snapshot and the WAL swap
-					// are atomic with respect to persist/journalApply: no
+					// are atomic with respect to commit: no
 					// record fsync'd before the swap can be missing from
 					// the snapshot that replaces it.
 					s.compactMu.Lock()
@@ -683,7 +674,12 @@ func (s *Service) admitJobs(tenant string, opts SubmitOpts, jobs []*Job, recs []
 			job.replica = opts.Replica
 		}
 	}
-	if err := s.persist(jobs, recs); err != nil {
+	err := s.commit(true, func() {
+		for _, job := range jobs {
+			s.store.Put(job)
+		}
+	}, recs...)
+	if err != nil {
 		return err
 	}
 	for _, job := range jobs {
@@ -696,27 +692,6 @@ func (s *Service) admitJobs(tenant string, opts SubmitOpts, jobs []*Job, recs []
 			s.repl.begin(job)
 		}
 		s.enqueue(job)
-	}
-	return nil
-}
-
-// persist journals recs and stores jobs as one step, under the compaction
-// read-lock: once a record is durable the store must reflect its job
-// before any compaction snapshot runs, or the janitor would rewrite the
-// WAL without it and a crash would lose an acknowledged job. An append
-// error stores nothing: the WAL contract is durable before acknowledged.
-func (s *Service) persist(jobs []*Job, recs []record) error {
-	s.compactMu.RLock()
-	defer s.compactMu.RUnlock()
-	if s.journal != nil {
-		for _, rec := range recs {
-			if err := s.journal.Append(rec); err != nil {
-				return err
-			}
-		}
-	}
-	for _, job := range jobs {
-		s.store.Put(job)
 	}
 	return nil
 }
@@ -750,13 +725,13 @@ func (s *Service) completeFromCache(spec JobSpec, key, digest, tenant string) (*
 	job := s.newJob(newJobID(), spec, key, tenant, now)
 	job.digest = digest
 	job.finish(StateSucceeded, &out, "", now)
-	if err := s.persist([]*Job{job}, jobRecords(job)); err != nil {
+	if err := s.commit(true, func() { s.store.Put(job) }, jobRecords(job)...); err != nil {
 		// The journal is wedged; fall through to the normal submit path,
 		// which surfaces the error to the caller.
 		return nil, false
 	}
 	s.metrics.submitted.Add(1)
-	s.metrics.completed.Add(1)
+	s.metrics.finished(StateSucceeded)
 	// A cache hit consumes no queue slot or worker, so it bypasses the
 	// admission gate; it still counts toward the tenant's admitted/done
 	// tallies so the fairness-share observables stay truthful.
@@ -941,14 +916,27 @@ func (s *Service) safeExecute(ctx context.Context, spec JobSpec, runner experime
 	return s.cfg.Execute(ctx, spec, runner, progress)
 }
 
-// finishRun publishes the terminal state of a job a worker holds. The
-// tenant's books move first, Running down and Done up, so a client that
-// sees the job finished never reads it as still running on /metrics.
-func (s *Service) finishRun(job *Job, state State, out *Output, errMsg string, now time.Time) {
-	tc := s.tenantCounters(job.tenant)
-	tc.Running.Add(-1)
-	tc.Done.Add(1)
-	job.finish(state, out, errMsg, now)
+// end is the one way out for a job a worker holds. It counts the terminal
+// state, commits the finish record together with the tenant's books
+// (Running down, Done up) and job.finish, then settles the result cache and
+// the flight slot. The books move before the job is seen finished, so a
+// client that sees the job finished never reads it as still running on
+// /metrics. With durable false no finish record is written: a shutdown
+// abort leaves the WAL showing the job mid-flight, so the next boot
+// re-enqueues and resumes it.
+func (s *Service) end(job *Job, state State, out *Output, errMsg string, at time.Time, durable bool) {
+	s.metrics.finished(state)
+	var recs []record
+	if durable {
+		recs = append(recs, record{Type: recFinish, Job: job.ID(), Time: at, State: state, Error: errMsg, Output: out})
+	}
+	_ = s.commit(false, func() {
+		tc := s.tenantCounters(job.tenant)
+		tc.Running.Add(-1)
+		tc.Done.Add(1)
+		job.finish(state, out, errMsg, at)
+	}, recs...)
+	s.settle(job, out)
 }
 
 // runJob executes one popped job end to end and classifies the outcome.
@@ -973,15 +961,11 @@ func (s *Service) runJob(job *Job) {
 
 	if !job.setRunning(cancel, now) {
 		// Canceled while queued: never ran.
-		s.metrics.canceled.Add(1)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateCanceled, Error: context.Canceled.Error()}, func() {
-			s.finishRun(job, StateCanceled, nil, context.Canceled.Error(), now)
-		})
-		s.settle(job, nil)
+		s.end(job, StateCanceled, nil, context.Canceled.Error(), now, true)
 		return
 	}
 	attempt := job.beginAttempt()
-	s.journalAppend(record{Type: recStart, Job: job.ID(), Time: now, Attempt: attempt})
+	_ = s.commit(false, nil, record{Type: recStart, Job: job.ID(), Time: now, Attempt: attempt})
 
 	runner := s.cfg.Runner
 	if job.spec.Sweep != nil {
@@ -1000,9 +984,7 @@ func (s *Service) runJob(job *Job) {
 				cs.Raw = nil
 			}
 			rec := record{Type: recCheckpoint, Job: job.ID(), Time: s.cfg.Clock(), Cell: cell, Stats: &cs}
-			s.journalApply(rec, func() {
-				job.addCheckpoint(cell, cs)
-			})
+			_ = s.commit(false, func() { job.addCheckpoint(cell, cs) }, rec)
 			if s.repl != nil {
 				// Replication rides the same record the WAL just fsync'd, so
 				// the replica can never run ahead of local durability.
@@ -1015,42 +997,26 @@ func (s *Service) runJob(job *Job) {
 	out, err := s.safeExecute(jobCtx, job.spec, runner, job.setProgress)
 	s.metrics.inFlight.Add(-1)
 
-	end := s.cfg.Clock()
-	s.metrics.ObserveLatency(end.Sub(now).Seconds())
+	at := s.cfg.Clock()
+	s.metrics.ObserveLatency(at.Sub(now).Seconds())
 	if s.cfg.Obs.Enabled() {
-		s.cfg.Obs.Span(obs.SpanJob, now.UnixNano(), end.UnixNano())
+		s.cfg.Obs.Span(obs.SpanJob, now.UnixNano(), at.UnixNano())
 	}
 	switch {
 	case err == nil:
-		s.metrics.completed.Add(1)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateSucceeded, Output: out}, func() {
-			s.finishRun(job, StateSucceeded, out, "", end)
-		})
-		s.settle(job, out)
+		s.end(job, StateSucceeded, out, "", at, true)
 	case errors.Is(err, context.Canceled):
-		s.metrics.canceled.Add(1)
-		if job.CancelRequested() {
-			s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateCanceled, Error: err.Error()}, func() {
-				s.finishRun(job, StateCanceled, nil, err.Error(), end)
-			})
-			s.settle(job, nil)
-			return
-		}
-		// A shutdown abort (baseCtx canceled without a user request) is
-		// deliberately NOT journaled as terminal: the WAL still shows the
-		// job mid-flight, so the next boot re-enqueues and resumes it.
-		s.finishRun(job, StateCanceled, nil, err.Error(), end)
-		s.settle(job, nil)
+		// Only a caller's cancel is journaled as terminal. A shutdown abort
+		// (baseCtx canceled without a user request) deliberately is not:
+		// the WAL still shows the job mid-flight, so the next boot
+		// re-enqueues and resumes it.
+		s.end(job, StateCanceled, nil, err.Error(), at, job.CancelRequested())
 	case errors.Is(err, context.DeadlineExceeded):
 		// The job consumed its own wall-clock budget; retrying would just
 		// burn it again.
-		s.metrics.failed.Add(1)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateFailed, Error: err.Error()}, func() {
-			s.finishRun(job, StateFailed, nil, err.Error(), end)
-		})
-		s.settle(job, nil)
+		s.end(job, StateFailed, nil, err.Error(), at, true)
 	default:
-		s.failAttempt(job, attempt, err, end)
+		s.failAttempt(job, attempt, err, at)
 	}
 }
 
@@ -1060,7 +1026,7 @@ func (s *Service) runJob(job *Job) {
 func (s *Service) failAttempt(job *Job, attempt int, cause error, now time.Time) {
 	maxAttempts := s.cfg.Retry.MaxAttempts
 	if attempt < maxAttempts && !s.Draining() {
-		s.journalAppend(record{Type: recRetry, Job: job.ID(), Time: now, Attempt: attempt, Error: cause.Error()})
+		_ = s.commit(false, nil, record{Type: recRetry, Job: job.ID(), Time: now, Attempt: attempt, Error: cause.Error()})
 		if job.setRetrying(cause.Error()) {
 			// The job re-enters Queued when the backoff requeues it.
 			s.tenantCounters(job.tenant).Running.Add(-1)
@@ -1069,27 +1035,14 @@ func (s *Service) failAttempt(job *Job, attempt int, cause error, now time.Time)
 			return
 		}
 		// Canceled between the failure and the retry decision.
-		s.metrics.canceled.Add(1)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateCanceled, Error: context.Canceled.Error()}, func() {
-			s.finishRun(job, StateCanceled, nil, context.Canceled.Error(), now)
-		})
-		s.settle(job, nil)
+		s.end(job, StateCanceled, nil, context.Canceled.Error(), now, true)
 		return
 	}
 	if maxAttempts > 1 && attempt >= maxAttempts {
-		s.metrics.poisoned.Add(1)
-		msg := fmt.Sprintf("poisoned after %d attempts: %v", attempt, cause)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StatePoisoned, Error: msg}, func() {
-			s.finishRun(job, StatePoisoned, nil, msg, now)
-		})
-		s.settle(job, nil)
+		s.end(job, StatePoisoned, nil, fmt.Sprintf("poisoned after %d attempts: %v", attempt, cause), now, true)
 		return
 	}
-	s.metrics.failed.Add(1)
-	s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateFailed, Error: cause.Error()}, func() {
-		s.finishRun(job, StateFailed, nil, cause.Error(), now)
-	})
-	s.settle(job, nil)
+	s.end(job, StateFailed, nil, cause.Error(), now, true)
 }
 
 // scheduleRetry re-enqueues job after a capped, jittered exponential
@@ -1111,7 +1064,7 @@ func (s *Service) scheduleRetry(job *Job, attempt int, cause error) {
 		s.submitMu <- struct{}{}
 		if s.closed {
 			<-s.submitMu
-			s.metrics.canceled.Add(1)
+			s.metrics.finished(StateCanceled)
 			s.tenantCounters(job.tenant).Done.Add(1)
 			job.finish(StateCanceled, nil,
 				fmt.Sprintf("retry %d abandoned by shutdown (last error: %v)", attempt+1, cause), s.cfg.Clock())

@@ -1,8 +1,9 @@
 // Package service turns the batch experiment harness into a
 // simulation-as-a-service backend: callers submit jobs (a named experiment
-// or a custom scenario sweep), a bounded FIFO queue applies backpressure, a
-// worker pool executes them on experiment.Runner, and an in-memory store
-// with TTL eviction serves status, streaming progress and final results.
+// or a custom scenario sweep), per-tenant fair queueing (internal/fair)
+// applies backpressure, a worker pool executes them on experiment.Runner,
+// and an in-memory store with TTL eviction serves status, streaming
+// progress and final results.
 // cmd/mobicd exposes it over HTTP.
 package service
 
