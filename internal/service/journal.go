@@ -307,12 +307,18 @@ func (j *Journal) Compact(recs []record) error {
 		j.lastErr = fmt.Errorf("journal: compact: %w", err)
 		return j.lastErr
 	}
-	// The image's length is the compacted WAL's size, known without any
+	// Counting while writing gives the compacted WAL's size without any
 	// post-rename syscall: the rename is the point of no return, so nothing
-	// after it may fail.
-	image, err := appendFrames(append([]byte(nil), journalMagic...), recs...)
-	if err == nil {
-		_, err = tmp.Write(image)
+	// after it may fail. Frames go out one at a time through one reused
+	// buffer, so the image never sits in memory beside the live state.
+	size := int64(len(journalMagic))
+	_, err = tmp.Write(journalMagic)
+	var frame []byte
+	for i := 0; err == nil && i < len(recs); i++ {
+		if frame, err = appendFrames(frame[:0], recs[i]); err == nil {
+			_, err = tmp.Write(frame)
+			size += int64(len(frame))
+		}
 	}
 	if err != nil {
 		return fail(err)
@@ -334,7 +340,7 @@ func (j *Journal) Compact(recs []record) error {
 	if j.wrap != nil {
 		j.f = j.wrap(tmp)
 	}
-	j.size = int64(len(image))
+	j.size = size
 	j.lastErr = nil
 	return nil
 }

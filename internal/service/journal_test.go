@@ -316,6 +316,11 @@ func TestJournalCompact(t *testing.T) {
 	if j.Size() >= before {
 		t.Errorf("compaction did not shrink the WAL: %d -> %d", before, j.Size())
 	}
+	if fi, err := os.Stat(filepath.Join(dir, "journal.wal")); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != j.Size() {
+		t.Errorf("after compaction Size() = %d, file holds %d bytes", j.Size(), fi.Size())
+	}
 	// The compacted journal must still accept appends and replay cleanly.
 	if err := j.Append(recs[0]); err != nil {
 		t.Fatal(err)
