@@ -312,16 +312,18 @@ func (j *Journal) Compact(recs []record) error {
 	// after it may fail. Frames go out one at a time through one reused
 	// buffer, so the image never sits in memory beside the live state.
 	size := int64(len(journalMagic))
-	_, err = tmp.Write(journalMagic)
-	var frame []byte
-	for i := 0; err == nil && i < len(recs); i++ {
-		if frame, err = appendFrames(frame[:0], recs[i]); err == nil {
-			_, err = tmp.Write(frame)
-			size += int64(len(frame))
-		}
-	}
-	if err != nil {
+	if _, err := tmp.Write(journalMagic); err != nil {
 		return fail(err)
+	}
+	var frame []byte
+	for _, rec := range recs {
+		if frame, err = appendFrames(frame[:0], rec); err == nil {
+			_, err = tmp.Write(frame)
+		}
+		if err != nil {
+			return fail(err)
+		}
+		size += int64(len(frame))
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail(err)
